@@ -28,7 +28,6 @@ from .operators import (
 )
 from .variation import (
     IntervalSystem,
-    Phi,
     VariationResult,
     best_assignment,
     grid_oracle,
@@ -36,7 +35,6 @@ from .variation import (
     lambda_norm,
     lambda_variation,
     lambda_variation_on_set,
-    phi_variation_grid,
     restricted_variation,
     sigma,
     tail_variation,
@@ -63,7 +61,6 @@ __all__ = [
     "InvalidInputError",
     "LambdaSequence",
     "Monotonicity",
-    "Phi",
     "PiecewiseLinear",
     "PiecewisePolynomial",
     "PropertyViolationError",
@@ -84,7 +81,6 @@ __all__ = [
     "lambda_variation_on_set",
     "monotone_certificate",
     "named_function",
-    "phi_variation_grid",
     "random_plf",
     "restricted_variation",
     "run_convergence_study",

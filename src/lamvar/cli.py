@@ -30,26 +30,16 @@ from .variation import lambda_variation, restricted_variation, wiener_profile
 _REPORT_CSV_DOC = "CSV columns: case_id,inputs_digest,key_values,margin,violation"
 
 
-def _parse_float_list(text: str, field: str) -> List[float]:
+def _parse_list(text: str, field: str, kind: type) -> list:
+    """Comma-separated entries converted by `kind` (int or float)."""
     out = []
     for i, chunk in enumerate(text.split(",")):
         try:
-            out.append(float(chunk))
+            out.append(kind(chunk))
         except ValueError:
+            noun = "an integer" if kind is int else "a number"
             raise InvalidInputError(
-                f"entry {i} is not a number: {chunk!r}", field=field
-            ) from None
-    return out
-
-
-def _parse_int_list(text: str, field: str) -> List[int]:
-    out = []
-    for i, chunk in enumerate(text.split(",")):
-        try:
-            out.append(int(chunk))
-        except ValueError:
-            raise InvalidInputError(
-                f"entry {i} is not an integer: {chunk!r}", field=field
+                f"entry {i} is not {noun}: {chunk!r}", field=field
             ) from None
     return out
 
@@ -141,14 +131,14 @@ def _cmd_counterexample(args) -> int:
 def _cmd_converge(args) -> int:
     f = load_function_file(args.fn)
     seq = load_lambda_file(args.lam)
-    report = experiments.run_convergence_study(f, seq, _parse_int_list(args.schedule, "schedule"))
+    report = experiments.run_convergence_study(f, seq, _parse_list(args.schedule, "schedule", int))
     return _emit_report(report, args.out, as_csv=True)
 
 
 def _cmd_wiener(args) -> int:
     f = load_function_file(args.fn)
     seq = load_lambda_file(args.lam)
-    deltas = _parse_float_list(args.deltas, "deltas")
+    deltas = _parse_list(args.deltas, "deltas", float)
     profile = wiener_profile(f, seq, deltas, resolution=args.resolution)
     sys.stdout.write(dumps({"profile": [[d, v] for d, v in profile]}, indent=2) + "\n")
     return 0
@@ -156,7 +146,7 @@ def _cmd_wiener(args) -> int:
 
 def _cmd_shao_sablin(args) -> int:
     seq = load_lambda_file(args.lam)
-    points = _parse_int_list(args.points, "points")
+    points = _parse_list(args.points, "points", int)
     ratios = [{"n": n, "ratio": seq.shao_sablin_ratio(n)} for n in points]
     sys.stdout.write(dumps({"ratios": ratios}, indent=2) + "\n")
     return 0

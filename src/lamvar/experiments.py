@@ -162,6 +162,17 @@ def _operator_list(operators: str):
     return ops[operators]
 
 
+def _skipped(case_id: int, inputs: dict, exc: ResourceError) -> dict:
+    """Record of a case that hit a solver cap: kept, but no violation."""
+    return {
+        "case_id": case_id,
+        "inputs": inputs,
+        "outputs": {"skipped": True, "reason": str(exc)},
+        "margin": 0.0,
+        "violation": False,
+    }
+
+
 def _check_positive_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
@@ -240,15 +251,7 @@ def run_diminish_campaign(
                             )
         except ResourceError as exc:
             skipped += 1
-            records.append(
-                {
-                    "case_id": index,
-                    "inputs": inputs,
-                    "outputs": {"skipped": True, "reason": str(exc)},
-                    "margin": 0.0,
-                    "violation": False,
-                }
-            )
+            records.append(_skipped(index, inputs, exc))
             continue
         finally:
             max_ms = max(max_ms, (time.perf_counter() - started) * 1000.0)
@@ -399,15 +402,7 @@ def run_convergence_study(
             d_k = lambda_distance(kantorovich_of(f, n), f, seq)
             gap = abs(lambda_norm(p, seq) - norm_f)
         except ResourceError as exc:
-            records.append(
-                {
-                    "case_id": idx,
-                    "inputs": {"n": n},
-                    "outputs": {"skipped": True, "reason": str(exc)},
-                    "margin": 0.0,
-                    "violation": False,
-                }
-            )
+            records.append(_skipped(idx, {"n": n}, exc))
             continue
         finally:
             max_ms = max(max_ms, (time.perf_counter() - started) * 1000.0)

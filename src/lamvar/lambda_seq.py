@@ -3,8 +3,8 @@
 A weight sequence ``lam_1 <= lam_2 <= ...`` of positive reals divides increments
 in the weighted-variation functionals of :mod:`lamvar.variation`.  Every family
 shipped here has a divergent reciprocal sum, which is the classical admissibility
-condition; it is recorded as metadata rather than checked numerically.  A shift
-``m`` turns a sequence into its tail: ``term(n) == base_term(n + m)``.
+condition; it follows from the family's form and is not checked numerically.  A
+shift ``m`` turns a sequence into its tail: ``term(n) == base_term(n + m)``.
 """
 
 from __future__ import annotations
@@ -158,11 +158,6 @@ class LambdaSequence:
             return self._params["tail"]["a"] > 0
         return True
 
-    @property
-    def reciprocal_sum_diverges(self) -> bool:
-        """Analytic property of each family; every built-in construction diverges."""
-        return True
-
     def term(self, n: int) -> float:
         """The n-th weight, 1-based.  n = 0 is outside the domain."""
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
@@ -278,7 +273,7 @@ class LambdaSequence:
         return cls(family, params, shift)
 
     def describe(self) -> str:
-        """Compact deterministic descriptor used in experiment reports."""
+        """Compact deterministic descriptor, used by ``repr``."""
         p = self._params
         if self._family == "constant":
             core = f"constant(c={p['c']:g})"

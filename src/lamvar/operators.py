@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 
 from .errors import DomainError, InvalidInputError
-from .functions import BernsteinPoly, PiecewiseLinear, isolate_extrema
+from .functions import BernsteinPoly, PiecewiseLinear, _evaluator, isolate_extrema
 
 
 class Monotonicity(enum.Enum):
@@ -22,14 +22,14 @@ class Monotonicity(enum.Enum):
     NOT_MONOTONE = "NotMonotone"
 
 
-def _evaluator(f):
-    return f.eval if hasattr(f, "eval") else f
+def _check_degree(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DomainError(f"degree must be a positive integer, got {n!r}")
 
 
 def bernstein_of(f, n: int) -> BernsteinPoly:
     """Degree-n Bernstein polynomial of f; coefficients are the node samples."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"degree must be a positive integer, got {n!r}")
+    _check_degree(n)
     value = _evaluator(f)
     return BernsteinPoly(tuple(value(k / n) for k in range(n + 1)))
 
@@ -40,8 +40,7 @@ def kantorovich_of(f, n: int) -> BernsteinPoly:
     Coefficient k is the mean of f over [k/(n+1), (k+1)/(n+1)], computed as an
     exact integral; f must therefore be piecewise linear or a step function.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"degree must be a positive integer, got {n!r}")
+    _check_degree(n)
     if not hasattr(f, "integrate"):
         raise InvalidInputError(
             f"{type(f).__name__} does not support exact integration"
@@ -57,15 +56,8 @@ def kantorovich_aux(f, n: int) -> PiecewiseLinear:
     ...so that ``bernstein_of(kantorovich_aux(f, n), n)`` has exactly the
     coefficients of ``kantorovich_of(f, n)``.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"degree must be a positive integer, got {n!r}")
-    if not hasattr(f, "integrate"):
-        raise InvalidInputError(
-            f"{type(f).__name__} does not support exact integration"
-        )
-    m = n + 1
-    values = [m * f.integrate(k / m, (k + 1) / m) for k in range(m)]
-    return PiecewiseLinear([(k / n, values[k]) for k in range(m)])
+    values = kantorovich_of(f, n).coeffs
+    return PiecewiseLinear([(k / n, v) for k, v in enumerate(values)])
 
 
 def monotone_certificate(p: BernsteinPoly) -> Monotonicity:

@@ -10,6 +10,7 @@ error messages that name the offending field path.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 from .errors import InvalidInputError
@@ -83,7 +84,11 @@ def _emit_container(items, out: list, indent, level, braces, emit_item) -> None:
 def _number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidInputError(f"expected a number, got {value!r}", field=field)
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        # json.loads accepts the NaN and Infinity literals
+        raise InvalidInputError("must be finite", field=field)
+    return value
 
 
 def _number_list(value, field: str) -> list:

@@ -7,15 +7,15 @@ smallest weight (rearrangement order).  For the function classes in
 :mod:`lamvar.functions` the supremum is attained on systems whose endpoints are
 points of varying monotonicity, so an exact solver can search subsets of the
 critical set.  A deliberately naive grid oracle is kept alongside for
-cross-checking, plus a short-interval (restricted) variant, tail variation,
-norms, and phi-variation on sample grids.
+cross-checking, plus a short-interval (restricted) variant, tail variation
+and norms.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     PropertyViolationError,
     ResourceError,
 )
-from .functions import PiecewiseLinear, critical_points, subtract
+from .functions import PiecewiseLinear, _evaluator, critical_points, subtract
 from .lambda_seq import LambdaSequence
 
 #: Exact-solver cap on candidate points (subset search is exponential).
@@ -36,10 +36,6 @@ RESTRICTED_CANDIDATE_CAP = 512
 _RESTRICTED_NODE_BUDGET = 2_000_000
 
 _DEDUP_TOL = 1e-12
-
-
-def _evaluator(f) -> Callable[[float], float]:
-    return f.eval if hasattr(f, "eval") else f
 
 
 class IntervalSystem:
@@ -207,6 +203,11 @@ def _subset_search(values: Sequence[float], w: Sequence[float]) -> Tuple[float, 
 
 
 def _solve_over_points(f, seq: LambdaSequence, pts: Sequence[float]) -> VariationResult:
+    if len(pts) > SOLVER_POINT_CAP:
+        raise ResourceError(
+            f"{len(pts)} candidate points exceed the solver cap of "
+            f"{SOLVER_POINT_CAP}; use grid_oracle for a lower bound"
+        )
     value = _evaluator(f)
     vals = [value(x) for x in pts]
     w = _weights(seq, max(1, len(pts) - 1))
@@ -224,13 +225,7 @@ def lambda_variation(f, seq: LambdaSequence) -> VariationResult:
     nearest candidate never decreases the objective and the subset search is
     exact for the supported function classes.
     """
-    pts = critical_points(f).points
-    if len(pts) > SOLVER_POINT_CAP:
-        raise ResourceError(
-            f"{len(pts)} candidate points exceed the solver cap of "
-            f"{SOLVER_POINT_CAP}; use grid_oracle for a lower bound"
-        )
-    return _solve_over_points(f, seq, pts)
+    return _solve_over_points(f, seq, critical_points(f).points)
 
 
 def lambda_variation_on_set(f, seq: LambdaSequence, points: Iterable[float]) -> VariationResult:
@@ -239,11 +234,6 @@ def lambda_variation_on_set(f, seq: LambdaSequence, points: Iterable[float]) -> 
     pts = _dedup_sorted(sorted(float(x) for x in points))
     if len(pts) < 2:
         raise DomainError("need at least two distinct points")
-    if len(pts) > SOLVER_POINT_CAP:
-        raise ResourceError(
-            f"{len(pts)} candidate points exceed the solver cap of "
-            f"{SOLVER_POINT_CAP}; use grid_oracle for a lower bound"
-        )
     return _solve_over_points(f, seq, pts)
 
 
@@ -303,7 +293,6 @@ def _restricted_search(
     values: Sequence[float],
     w: Sequence[float],
     delta: float,
-    node_budget: int = _RESTRICTED_NODE_BUDGET,
 ) -> Tuple[float, Tuple[Tuple[int, int], ...]]:
     """Maximize the rearrangement-weighted sum over systems of nonoverlapping
     intervals with endpoints among `points` and length at most `delta`.
@@ -398,7 +387,7 @@ def _restricted_search(
     def visit(i: int, diffs_desc: List[float], chosen: Tuple[Tuple[int, int], ...]) -> None:
         nonlocal best_val, best_choice, nodes
         nodes += 1
-        if nodes > node_budget:
+        if nodes > _RESTRICTED_NODE_BUDGET:
             raise ResourceError(
                 "restricted-variation search exceeded its node budget; "
                 "lower the resolution"
@@ -535,63 +524,3 @@ def lambda_distance(p, f: PiecewiseLinear, seq: LambdaSequence) -> float:
     """Norm of the difference p - f (p a Bernstein polynomial on [0,1])."""
     h = subtract(p, f)
     return lambda_variation(h, seq).value + abs(h.eval(0.0))
-
-
-# -- phi-variation on sample grids ----------------------------------------
-
-
-class Phi:
-    """Convex gauge with phi(0) = 0 from the closed family {identity, power q>=1}."""
-
-    __slots__ = ("name", "q")
-
-    def __init__(self, name: str, q: float):
-        self.name = name
-        self.q = q
-
-    @classmethod
-    def identity(cls) -> "Phi":
-        return cls("identity", 1.0)
-
-    @classmethod
-    def power(cls, q: float) -> "Phi":
-        q = float(q)
-        if q < 1.0:
-            raise DomainError(f"exponent must be >= 1 for convexity, got {q!r}")
-        return cls("power", q)
-
-    def __call__(self, t: float) -> float:
-        return t if self.q == 1.0 else t ** self.q
-
-    def __repr__(self) -> str:
-        return f"Phi({self.name}, q={self.q:g})"
-
-
-def phi_variation_grid(samples: Sequence[Tuple[float, float]], phi: Phi) -> float:
-    """Maximum of sum(phi(|increment|)) over subsets of a fixed sample grid.
-
-    There is no weight coupling here, so a quadratic dynamic program is exact:
-    best[j] = max over i < j of best[i] + phi(|y_j - y_i|).
-    """
-    pts = [(float(x), float(y)) for x, y in samples]
-    if len(pts) < 2:
-        raise DomainError("need at least two samples")
-    for i in range(1, len(pts)):
-        if pts[i][0] <= pts[i - 1][0]:
-            raise InvalidInputError(
-                "sample x values must be strictly increasing", field=f"samples[{i}]"
-            )
-    ys = [y for _, y in pts]
-    n = len(ys)
-    best = [0.0] * n
-    answer = 0.0
-    for j in range(1, n):
-        m = 0.0
-        for i in range(j):
-            cand = best[i] + phi(abs(ys[j] - ys[i]))
-            if cand > m:
-                m = cand
-        best[j] = m
-        if m > answer:
-            answer = m
-    return answer

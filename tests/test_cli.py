@@ -28,6 +28,9 @@ def files(tmp_path):
         "const": write("const.json", '{"family": "constant", "params": {"c": 1}}'),
         "lin": write("lin.json", '{"family": "linear", "params": {"a": 1, "b": 0}}'),
         "bad": write("bad.json", '{"type": "plf", "points": [[0, 0], [1]]}'),
+        "nan_plf": write("nan_plf.json",
+                         '{"type": "plf", "points": [[0, NaN], [0.5, 1], [1, 0]]}'),
+        "inf_bern": write("inf_bern.json", '{"type": "bernstein", "coeffs": [0, Infinity, 1]}'),
         "dir": tmp_path,
     }
 
@@ -69,6 +72,22 @@ def test_variation_malformed_input_exits_2(capsys, files):
     code, _, err = run(capsys, ["variation", "--fn", files["bad"], "--lambda", files["const"]])
     assert code == 2
     assert "points[1]" in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["variation", "--fn", "nan_plf", "--lambda", "const"], "points[0][1]"),
+        (["operator", "--op", "kantorovich", "--fn", "nan_plf", "-n", "3"], "points[0][1]"),
+        (["variation", "--fn", "inf_bern", "--lambda", "const"], "coeffs[1]"),
+    ],
+    ids=["variation-nan", "kantorovich-nan", "variation-infinity"],
+)
+def test_non_finite_input_exits_2(capsys, files, argv, field):
+    code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert f"{field}: must be finite" in err
 
 
 def test_variation_missing_file_exits_2(capsys, files):

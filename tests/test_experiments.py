@@ -1,5 +1,6 @@
 """Campaign runners: determinism, record shapes, and frozen outcomes."""
 
+import hashlib
 import random
 
 import pytest
@@ -252,6 +253,35 @@ def test_oracle_crosscheck_deterministic():
     b = run_oracle_crosscheck(seed=3, cases=6)
     assert dumps(a.to_json()) == dumps(b.to_json())
 
+
+
+def test_outputs_match_pinned_digests():
+    """Campaign bytes are frozen across code changes, not only across reruns.
+
+    Cases weighted by the power and nlog families are left out: their terms
+    come from libm pow and log, whose last bit may differ between platforms.
+    """
+    def sha1(text):
+        return hashlib.sha1(text.encode("utf-8")).hexdigest()
+
+    diminish = run_diminish_campaign(seed=42, cases=20, lambda_families=("constant", "linear"))
+    oracle = [
+        rec for rec in run_oracle_crosscheck(seed=7, cases=40).to_json()["cases"]
+        if rec["inputs"]["family"] not in ("power", "nlog")
+    ]
+    converge = run_convergence_study(
+        random_plf(11, 6), LambdaSequence.linear(1.0, 0.0), [4, 16, 64, 256]
+    )
+    assert len(oracle) == 24
+    assert {
+        "diminish": sha1(dumps(diminish.to_json(), indent=2)),
+        "oracle": sha1(dumps(oracle, indent=2)),
+        "converge": sha1(converge.to_csv()),
+    } == {
+        "diminish": "09e4fb9d76d67818afbf1ecc84bf949484981ed2",
+        "oracle": "671eb0d20094d697bed1b20ff25f80132ce74949",
+        "converge": "f9638895d063104d0c8a7d9a16af71b822d78082",
+    }
 
 # -- continuity-set check ------------------------------------------------
 

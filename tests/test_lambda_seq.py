@@ -11,7 +11,6 @@ def test_constant_terms():
     seq = LambdaSequence.constant(2.0)
     assert [seq.term(n) for n in range(1, 5)] == [2.0, 2.0, 2.0, 2.0]
     assert not seq.proper
-    assert seq.reciprocal_sum_diverges
 
 
 def test_linear_terms():

@@ -8,7 +8,6 @@ from lamvar import (
     IntervalSystem,
     InvalidInputError,
     LambdaSequence,
-    Phi,
     PiecewiseLinear,
     PropertyViolationError,
     ResourceError,
@@ -21,7 +20,6 @@ from lamvar import (
     lambda_variation,
     lambda_variation_on_set,
     named_function,
-    phi_variation_grid,
     random_plf,
     restricted_variation,
     sigma,
@@ -357,50 +355,3 @@ def test_wiener_schedule_validation():
         wiener_profile(ident, SEQ_N, [0.5])
     with pytest.raises(DomainError):
         wiener_profile(ident, SEQ_N, [0.25, 0.5])
-
-
-# -- phi-variation ---------------------------------------------------------
-
-
-def test_phi_variation_identity_gauge():
-    zig = [(0.0, 0.0), (0.25, 1.0), (0.5, 0.0), (0.75, 1.0), (1.0, 0.0)]
-    assert phi_variation_grid(zig, Phi.identity()) == pytest.approx(4.0, abs=1e-15)
-    mono = [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)]
-    assert phi_variation_grid(mono, Phi.identity()) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_phi_variation_convex_gauge_prefers_large_jumps():
-    mono = [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
-    assert phi_variation_grid(mono, Phi.power(2.0)) == pytest.approx(1.0, abs=1e-15)
-    zig = [(0.0, 0.0), (0.25, 1.0), (0.5, 0.0), (0.75, 1.0), (1.0, 0.0)]
-    assert phi_variation_grid(zig, Phi.power(2.0)) == pytest.approx(4.0, abs=1e-15)
-
-
-def test_phi_variation_matches_chain_enumeration():
-    rng = random.Random(31)
-    for _ in range(20):
-        n = rng.randint(2, 9)
-        xs = sorted({0.0, 1.0, *(rng.uniform(0.0, 1.0) for _ in range(n - 2))})
-        samples = [(x, rng.uniform(-1.0, 1.0)) for x in xs]
-        phi = rng.choice([Phi.identity(), Phi.power(1.5), Phi.power(3.0)])
-        ys = [y for _, y in samples]
-        brute = 0.0
-        for size in range(2, len(ys) + 1):
-            for comb in itertools.combinations(range(len(ys)), size):
-                brute = max(
-                    brute,
-                    sum(
-                        phi(abs(ys[comb[i + 1]] - ys[comb[i]]))
-                        for i in range(size - 1)
-                    ),
-                )
-        assert phi_variation_grid(samples, phi) == pytest.approx(brute, abs=1e-12)
-
-
-def test_phi_validation():
-    with pytest.raises(DomainError):
-        Phi.power(0.5)
-    with pytest.raises(DomainError):
-        phi_variation_grid([(0.0, 1.0)], Phi.identity())
-    with pytest.raises(InvalidInputError, match=r"samples\[1\]"):
-        phi_variation_grid([(0.0, 1.0), (0.0, 2.0)], Phi.identity())
