@@ -5,8 +5,9 @@ with explicit values at their jump points, polynomials in the Bernstein basis
 (optionally restricted to a subinterval), and piecewise collections of the
 latter.  Polynomial evaluation, restriction and splitting go through de
 Casteljau recurrences only; coefficients are never converted to the monomial
-basis.  Extrema are isolated by recursive subdivision driven by coefficient
-sign certificates, then refined by bisection.
+basis.  Degree elevation runs one vectorized step per degree and reproduces
+the scalar recurrence bit for bit.  Extrema are isolated by recursive
+subdivision driven by coefficient sign certificates, then refined by bisection.
 
 Evaluation identities hold to 1e-12.  Root positions are resolved to the
 requested tolerance (default 1e-12).
@@ -15,6 +16,7 @@ requested tolerance (default 1e-12).
 from __future__ import annotations
 
 import bisect
+import math
 from functools import singledispatch
 from typing import Iterable, List, Sequence, Tuple
 
@@ -24,10 +26,11 @@ from .errors import DomainError, InvalidInputError, ResourceError
 
 EVAL_TOL = 1e-12
 
-# Degree above which de Casteljau loops run on numpy arrays.  One split costs
-# 9 us in the list loop vs 48 us on arrays at degree 12, and 34 ms vs 2.8 ms at
-# degree 1024 (Python 3.11, 2-core Xeon).  Campaign images (degree <= 12) and
-# convergence tables (up to degree 1024) need both paths.
+# Degree above which _dc_eval and _dc_split run on numpy arrays (nothing else
+# forks).  One split costs 9 us (list) vs 48 us (arrays) at degree 12 and 34 ms
+# vs 2.8 ms at degree 1024 (Python 3.11, 2-core Xeon); diminish and converge need
+# both.  Elevation, which only subtract calls, is on arrays at every degree: in
+# a converge benchmark round that costs ~10 ms at degrees 4 and 16, saves ~5 s at 1024.
 _NUMPY_CUTOVER = 48
 _MAX_DEPTH = 64
 _MAX_PANELS = 20000
@@ -45,6 +48,13 @@ def _evaluator(f):
     return f.eval if hasattr(f, "eval") else f
 
 
+def _require_finite(values: Sequence[float], field: str) -> None:
+    """Reject the first NaN or infinity in values, naming it field.format(index)."""
+    if not all(map(math.isfinite, values)):
+        i = next(i for i, v in enumerate(values) if not math.isfinite(v))
+        raise InvalidInputError("must be finite", field=field.format(i))
+
+
 def _check_unit_interval(x: float) -> None:
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"argument {x!r} lies outside [0, 1]")
@@ -60,6 +70,9 @@ class PiecewiseLinear:
         if len(pts) < 2:
             raise InvalidInputError("need at least two breakpoints", field="points")
         xs = [p[0] for p in pts]
+        ys = [p[1] for p in pts]
+        _require_finite(xs, "points[{}][0]")
+        _require_finite(ys, "points[{}][1]")
         if xs[0] != 0.0:
             raise InvalidInputError("first x must be 0", field="points[0][0]")
         if xs[-1] != 1.0:
@@ -72,7 +85,7 @@ class PiecewiseLinear:
                     "x coordinates must be strictly increasing", field=f"points[{i}][0]"
                 )
         self.xs = tuple(xs)
-        self.ys = tuple(p[1] for p in pts)
+        self.ys = tuple(ys)
 
     @property
     def breakpoints(self) -> Tuple[Tuple[float, float], ...]:
@@ -129,6 +142,7 @@ class StepFunction:
         cuts = tuple(float(c) for c in cuts)
         piece_values = tuple(float(v) for v in piece_values)
         point_values = tuple(float(v) for v in point_values)
+        _require_finite(piece_values, "pieces[{}]")
         for i, c in enumerate(cuts):
             if not 0.0 < c < 1.0:
                 raise InvalidInputError("cut must lie in (0, 1)", field=f"cuts[{i}]")
@@ -256,6 +270,7 @@ class BernsteinPoly:
         coeffs = tuple(float(c) for c in coeffs)
         if not coeffs:
             raise InvalidInputError("need at least one coefficient", field="coeffs")
+        _require_finite(coeffs, "coeffs[{}]")
         a, b = float(domain[0]), float(domain[1])
         if not (0.0 <= a < b <= 1.0):
             raise InvalidInputError(
@@ -295,17 +310,17 @@ class BernsteinPoly:
         return BernsteinPoly(d, self.domain)
 
     def elevate(self, r: int = 1) -> "BernsteinPoly":
-        """Degree elevation by r; the function is unchanged."""
+        """Degree elevation by r; the function is unchanged.  One array step per
+        degree does the scalar recurrence's IEEE operations in order, bit for bit."""
         if isinstance(r, bool) or not isinstance(r, int) or r < 1:
             raise DomainError(f"elevation count must be a positive integer, got {r!r}")
-        c = list(self.coeffs)
+        c = np.asarray(self.coeffs, dtype=np.float64)
         for _ in range(r):
             n = len(c) - 1
-            out = [c[0]]
-            for k in range(1, n + 1):
-                w = k / (n + 1)
-                out.append(w * c[k - 1] + (1.0 - w) * c[k])
-            out.append(c[-1])
+            w = np.arange(1, n + 1) / (n + 1)
+            out = np.empty(n + 2)
+            out[0], out[-1] = c[0], c[-1]
+            out[1:-1] = w * c[:-1] + (1.0 - w) * c[1:]
             c = out
         return BernsteinPoly(c, self.domain)
 

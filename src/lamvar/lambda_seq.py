@@ -184,7 +184,9 @@ class LambdaSequence:
 
     def terms(self, count: int) -> np.ndarray:
         """Vector of term(1..count).  Positivity and monotonicity are asserted
-        on every materialized prefix."""
+        on every materialized prefix.  For ``power`` and ``nlog`` numpy may round
+        differently from ``term()`` (libm), by at most 2 ulp; other families agree
+        exactly.  The solvers use ``term()``."""
         if count < 1:
             raise DomainError(f"count must be >= 1, got {count}")
         if count + self._shift > PREFIX_BUDGET:

@@ -69,6 +69,11 @@ def test_plf_validation():
         PiecewiseLinear([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
     with pytest.raises(InvalidInputError, match="points"):
         PiecewiseLinear([(0.0, 0.0)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError, match=r"points\[0\]\[1\]: must be finite"):
+            PiecewiseLinear([(0.0, bad), (0.5, 1.0), (1.0, 0.0)])
+        with pytest.raises(InvalidInputError, match=r"points\[1\]\[0\]: must be finite"):
+            PiecewiseLinear([(0.0, 0.0), (bad, 1.0), (1.0, 0.0)])
 
 
 def test_step_eval_and_cut_values():
@@ -99,6 +104,13 @@ def test_step_validation():
         StepFunction([0.5], [0.0, 1.0], [2.0])
     with pytest.raises(InvalidInputError, match="pieces"):
         StepFunction([0.5], [1.0], [0.5])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError, match=r"pieces\[1\]: must be finite"):
+            StepFunction([0.5], [0.0, bad], [0.0])
+        with pytest.raises(InvalidInputError, match=r"pieces\[0\]: must be finite"):
+            StepFunction([], [bad], [])
+        with pytest.raises(InvalidInputError, match=r"pointValues\[0\]"):
+            StepFunction([0.5], [0.0, 1.0], [bad])
 
 
 def test_bernstein_eval_matches_power_basis():
@@ -163,6 +175,31 @@ def test_elevate_keeps_function():
         p.elevate(0)
 
 
+def _elevate_reference(coeffs, r):
+    # the scalar recurrence elevate() vectorizes, one degree at a time
+    c = list(coeffs)
+    for _ in range(r):
+        n = len(c) - 1
+        out = [c[0]]
+        for k in range(1, n + 1):
+            w = k / (n + 1)
+            out.append(w * c[k - 1] + (1.0 - w) * c[k])
+        out.append(c[-1])
+        c = out
+    return tuple(c)
+
+
+def test_elevate_bits_match_scalar_recurrence():
+    # bit for bit, not approx: convergence tables depend on every last bit
+    rng = random.Random(17)
+    for r in (1, 2, 47, 48, 63, 255, 1023):
+        for n in range(7):
+            coeffs = [rng.uniform(-3.0, 3.0) for _ in range(n + 1)]
+            q = BernsteinPoly(coeffs, (0.125, 0.625)).elevate(r)
+            assert q.coeffs == _elevate_reference(coeffs, r)
+            assert q.domain == (0.125, 0.625)
+
+
 def test_restrict_keeps_function():
     rng = random.Random(8)
     for _ in range(10):
@@ -186,6 +223,9 @@ def test_bernstein_validation():
         BernsteinPoly([1.0], (0.5, 0.25))
     with pytest.raises(DomainError):
         BernsteinPoly([0.0, 1.0], (0.25, 0.75)).eval(0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError, match=r"coeffs\[1\]: must be finite"):
+            BernsteinPoly([0.0, bad, 1.0])
 
 
 def test_piecewise_polynomial_seams():
