@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, InvalidInputError, ResourceError
 from .functions import BernsteinPoly, PiecewiseLinear, _evaluator, isolate_extrema
 
 
@@ -22,9 +22,16 @@ class Monotonicity(enum.Enum):
     NOT_MONOTONE = "NotMonotone"
 
 
+#: Largest operator degree.  Memory grows by about 210 bytes per degree, so
+#: the cap keeps a run to tens of megabytes and well under a second.
+DEGREE_CAP = 1 << 16
+
+
 def _check_degree(n) -> None:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DomainError(f"degree must be a positive integer, got {n!r}")
+    if n > DEGREE_CAP:
+        raise ResourceError(f"degree {n} exceeds the degree cap of {DEGREE_CAP}")
 
 
 def bernstein_of(f, n: int) -> BernsteinPoly:

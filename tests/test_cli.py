@@ -139,6 +139,15 @@ def test_operator_bad_emit_exits_2(capsys, files):
     assert "emit" in err
 
 
+def test_operator_degree_above_cap_exits_4(capsys, files):
+    for op in ("bernstein", "kantorovich"):
+        code, out, err = run(capsys, ["operator", "--op", op, "--fn", files["abs_mid"],
+                                      "-n", "1000000000"])
+        assert code == 4
+        assert out == ""
+        assert "degree cap of 65536" in err
+
+
 # -- campaigns -----------------------------------------------------------
 
 def test_diminish_small(capsys, files):

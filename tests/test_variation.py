@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+import lamvar.variation
 from lamvar import (
     DomainError,
     IntervalSystem,
@@ -26,7 +28,12 @@ from lamvar import (
     tail_variation,
     wiener_profile,
 )
-from lamvar.variation import _restricted_search, _subset_search, _weights
+from lamvar.variation import (
+    _best_over_permutations,
+    _restricted_search,
+    _subset_search,
+    _weights,
+)
 
 SEQ_N = LambdaSequence.linear(1.0, 0.0)
 SEQ_1 = LambdaSequence.constant(1.0)
@@ -244,6 +251,67 @@ def test_grid_oracle_agrees_with_exact_solver():
 
         grid = critical_points(f).points
         assert grid_oracle(f, seq, grid) == pytest.approx(pts.value, abs=1e-9)
+
+
+def scalar_permutation_max(diffs, seq):
+    """The oracle's permutation check as one scalar loop per permutation.
+    Explicit left-to-right additions: ``sum()`` of floats is compensated from
+    Python 3.12 on."""
+    brute = 0.0
+    for perm in itertools.permutations(range(1, len(diffs) + 1)):
+        s = 0.0
+        for d, r in zip(diffs, perm):
+            s += d / seq.term(r)
+        if s > brute:
+            brute = s
+    return brute
+
+
+def test_permutation_columns_match_scalar_loop_bit_for_bit():
+    rng = random.Random(5)
+    seqs = [
+        LambdaSequence.constant(1.5),
+        LambdaSequence.linear(1.0, 0.0),
+        LambdaSequence.power(0.7),
+        LambdaSequence.nlog(),
+        LambdaSequence.explicit([1.0, 1.5, 2.5], tail_a=1.0),
+        LambdaSequence.linear(1, 0).tail(3),
+    ]
+    for seq in seqs:
+        for size in range(2, 9):
+            perms = list(itertools.permutations(range(1, size)))
+            rank_terms = np.array([[seq.term(r) for r in perm] for perm in perms])
+            pool = [0.0, 0.1, 1.0 / 3.0, rng.random(), 7.0 * rng.random()]
+            trials = [
+                [rng.choice(pool) for _ in range(size - 1)],
+                [rng.choice(pool) for _ in range(size - 1)],
+                [rng.random() for _ in range(size - 1)],
+                [0.0] * (size - 1),
+            ]
+            for diffs in trials:
+                assert _best_over_permutations(diffs, rank_terms) == scalar_permutation_max(diffs, seq)
+
+
+@pytest.mark.parametrize("points, off, raises", [
+    (8, 2e-9, True),
+    (8, 0.5e-9, False),
+    (9, 2e-9, False),
+])
+def test_grid_oracle_cross_check_fires(monkeypatch, points, off, raises):
+    exact = lamvar.variation.best_assignment
+
+    def skewed(values, seq):
+        v = exact(values, seq)
+        return v + off * max(1.0, abs(v))
+
+    monkeypatch.setattr(lamvar.variation, "best_assignment", skewed)
+    f = random_plf(11, 6)
+    grid = [k / (points - 1) for k in range(points)]
+    if raises:
+        with pytest.raises(PropertyViolationError, match="permutation enumeration"):
+            grid_oracle(f, SEQ_N, grid)
+    else:
+        assert grid_oracle(f, SEQ_N, grid) > 0.0
 
 
 def test_grid_oracle_guards():
