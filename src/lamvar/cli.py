@@ -27,8 +27,6 @@ from .operators import bernstein_of, kantorovich_of
 from .serialize import dumps, format_float, load_function_file, load_lambda_file
 from .variation import lambda_variation, restricted_variation, wiener_profile
 
-_REPORT_CSV_DOC = "CSV columns: case_id,inputs_digest,key_values,margin,violation"
-
 
 def _parse_list(text: str, field: str, kind: type) -> list:
     """Comma-separated entries converted by `kind` (int or float)."""
@@ -186,9 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_operator)
 
     p = sub.add_parser(
-        "diminish",
-        help="random campaign checking the variation-diminishing inequality",
-        description=_REPORT_CSV_DOC,
+        "diminish", help="random campaign checking the variation-diminishing inequality"
     )
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--cases", type=int, default=500)
@@ -210,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "converge",
         help="operator distance table along a degree schedule",
-        description=_REPORT_CSV_DOC,
+        description="CSV columns: case_id,inputs_digest,key_values,margin,violation",
     )
     p.add_argument("--fn", required=True, help="function JSON file")
     p.add_argument("--lambda", dest="lam", required=True, help="weight-sequence JSON file")

@@ -19,7 +19,7 @@ class InvalidInputError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """A solver cap was exceeded (candidate count, subdivision depth, node budget)."""
+    """A solver cap was exceeded (candidate count, subdivision panels, node budget)."""
 
 
 class PropertyViolationError(RuntimeError):

@@ -6,11 +6,11 @@ with explicit values at their jump points, polynomials in the Bernstein basis
 latter.  Polynomial evaluation, restriction and splitting go through de
 Casteljau recurrences only; coefficients are never converted to the monomial
 basis.  Degree elevation runs one vectorized step per degree and reproduces
-the scalar recurrence bit for bit.  Extrema are isolated by recursive
+the scalar recurrence bit for bit.  Extrema are isolated by depth-first
 subdivision driven by coefficient sign certificates, then refined by bisection.
 
-Evaluation identities hold to 1e-12.  Root positions are resolved to the
-requested tolerance (default 1e-12).
+Evaluation identities hold to 1e-12.  Root positions are resolved to
+``MERGE_TOL`` (1e-12), the distance at which critical points merge.
 """
 
 from __future__ import annotations
@@ -32,8 +32,11 @@ EVAL_TOL = 1e-12
 # both.  Elevation, which only subtract calls, is on arrays at every degree: in
 # a converge benchmark round that costs ~10 ms at degrees 4 and 16, saves ~5 s at 1024.
 _NUMPY_CUTOVER = 48
-_MAX_DEPTH = 64
 _MAX_PANELS = 20000
+# Points closer than this are one point: derivative roots are resolved to it,
+# critical sets and candidate lists merge at it, and interval endpoints may lie
+# this far outside [0, 1].
+MERGE_TOL = 1e-12
 
 TAG_ENDPOINT = "endpoint"
 TAG_BREAKPOINT = "breakpoint"
@@ -83,6 +86,10 @@ class PiecewiseLinear:
             if xs[i] <= xs[i - 1]:
                 raise InvalidInputError(
                     "x coordinates must be strictly increasing", field=f"points[{i}][0]"
+                )
+            if not math.isfinite(ys[i] - ys[i - 1]):
+                raise InvalidInputError(
+                    "increment from the previous point overflows", field=f"points[{i}][1]"
                 )
         self.xs = tuple(xs)
         self.ys = tuple(ys)
@@ -394,12 +401,12 @@ class CriticalSet:
 
     __slots__ = ("points", "tags")
 
-    def __init__(self, entries: Iterable[Tuple[float, str]], tol: float = 1e-12):
+    def __init__(self, entries: Iterable[Tuple[float, str]]):
         ordered = sorted(entries, key=lambda e: (e[0], _TAG_ORDER.get(e[1], 9)))
         points: List[float] = []
         tags: List[str] = []
         for x, tag in ordered:
-            if points and x - points[-1] <= tol:
+            if points and x - points[-1] <= MERGE_TOL:
                 # keep the higher-priority tag for coincident points
                 if _TAG_ORDER.get(tag, 9) < _TAG_ORDER.get(tags[-1], 9):
                     tags[-1] = tag
@@ -450,61 +457,56 @@ def _sign_change_params(dcoeffs: Sequence[float], tol: float) -> List[float]:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def visit(lo: float, hi: float, c: Sequence[float], depth: int) -> None:
-        # Panels arrive left to right; each certified one meets the last here.
-        nonlocal budget, prev_sign, prev_hi
+    stack = [(0.0, 1.0, dcoeffs)]  # left halves pop first: panels arrive left to right
+    while stack:
+        lo, hi, c = stack.pop()
         budget -= 1
-        if budget < 0 or depth > _MAX_DEPTH:
+        if budget < 0:
             raise ResourceError(
                 f"derivative sign analysis stalled on panel [{lo:.17g}, {hi:.17g}]"
             )
         nonneg = min(c) >= -zcut
         nonpos = max(c) <= zcut
         if nonneg and nonpos:
-            return  # numerically flat, no certificate
+            continue  # numerically flat, no certificate
         if nonneg or nonpos:
             sign = +1 if nonneg else -1
             if prev_sign and sign != prev_sign:
-                if lo > prev_hi:
-                    roots.append(refine(prev_hi, lo, prev_sign))
-                else:
-                    roots.append(lo)  # adjacent certified panels meet on the root
-            prev_sign = sign
-            prev_hi = hi
-            return
-        if hi - lo <= tol:
-            return  # too narrow to split further, no certificate
-        left, right = _dc_split(c, 0.5)
-        mid = 0.5 * (lo + hi)
-        visit(lo, mid, left, depth + 1)
-        visit(mid, hi, right, depth + 1)
-
-    visit(0.0, 1.0, dcoeffs, 0)
+                # adjacent certified panels (lo == prev_hi) meet on the root
+                roots.append(refine(prev_hi, lo, prev_sign))
+            prev_sign, prev_hi = sign, hi
+        elif hi - lo > tol:  # narrower uncertified panels are dropped
+            left, right = _dc_split(c, 0.5)
+            mid = 0.5 * (lo + hi)
+            stack += [(mid, hi, right), (lo, mid, left)]
     return [r for r in roots if tol < r < 1.0 - tol]
 
 
-def isolate_extrema(p: BernsteinPoly, tol: float = 1e-12) -> CriticalSet:
+def isolate_extrema(p: BernsteinPoly) -> CriticalSet:
     """Interior points where p changes monotonicity, plus the domain endpoints.
 
     Roots of the derivative with even multiplicity (coefficient sign
     variations but no actual sign change) are excluded.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
     entries: List[Tuple[float, str]] = [(p.a, TAG_ENDPOINT), (p.b, TAG_ENDPOINT)]
     n = p.degree
     if n >= 1:
         dc = tuple(p.coeffs[k + 1] - p.coeffs[k] for k in range(n))
+        dmax = max(abs(c) for c in dc)
+        if dmax == math.inf:
+            raise InvalidInputError(
+                "differences of neighbouring coefficients overflow", field="coeffs"
+            )
         cscale = max(1.0, max(abs(c) for c in p.coeffs))
         # Derivative noise from O(n) convex combinations of O(cscale)
         # coefficients is below this; treat such derivatives as identically 0.
         noise_floor = n * 1e-12 * cscale
-        if max(abs(c) for c in dc) > noise_floor:
+        if dmax > noise_floor:
             width = p.b - p.a
-            local_tol = min(0.25, tol / width)
+            local_tol = min(0.25, MERGE_TOL / width)
             for t in _sign_change_params(dc, local_tol):
                 entries.append((p.a + t * width, TAG_ROOT))
-    return CriticalSet(entries, tol=tol)
+    return CriticalSet(entries)
 
 
 # -- critical points ------------------------------------------------------

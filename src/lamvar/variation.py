@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     PropertyViolationError,
     ResourceError,
 )
-from .functions import PiecewiseLinear, _evaluator, critical_points, subtract
+from .functions import MERGE_TOL, PiecewiseLinear, _evaluator, critical_points, subtract
 from .lambda_seq import LambdaSequence
 
 #: Exact-solver cap on candidate points (subset search is exponential).
@@ -34,8 +35,6 @@ SOLVER_POINT_CAP = 24
 #: bound and handles far larger candidate sets than the subset solver.
 RESTRICTED_CANDIDATE_CAP = 512
 _RESTRICTED_NODE_BUDGET = 2_000_000
-
-_DEDUP_TOL = 1e-12
 
 
 class IntervalSystem:
@@ -49,7 +48,7 @@ class IntervalSystem:
         ivs: List[Tuple[float, float]] = []
         for k, pair in enumerate(intervals):
             a, b = float(pair[0]), float(pair[1])
-            if not (-_DEDUP_TOL <= a and b <= 1.0 + _DEDUP_TOL):
+            if not (-MERGE_TOL <= a and b <= 1.0 + MERGE_TOL):
                 raise InvalidInputError(
                     f"interval [{a}, {b}] is not inside [0, 1]", field=f"intervals[{k}]"
                 )
@@ -212,6 +211,8 @@ def _solve_over_points(f, seq: LambdaSequence, pts: Sequence[float]) -> Variatio
     vals = [value(x) for x in pts]
     w = _weights(seq, max(1, len(pts) - 1))
     best_val, sub = _subset_search(vals, w)
+    if not math.isfinite(best_val):
+        raise InvalidInputError("the variation overflows", field="fn")
     diffs = [abs(vals[sub[i + 1]] - vals[sub[i]]) for i in range(len(sub) - 1)]
     witness = IntervalSystem([(pts[sub[i]], pts[sub[i + 1]]) for i in range(len(sub) - 1)])
     return VariationResult(best_val, witness, _assignment_ranks(diffs), "exact")
@@ -237,10 +238,10 @@ def lambda_variation_on_set(f, seq: LambdaSequence, points: Iterable[float]) -> 
     return _solve_over_points(f, seq, pts)
 
 
-def _dedup_sorted(xs: Sequence[float], tol: float = _DEDUP_TOL) -> List[float]:
+def _dedup_sorted(xs: Sequence[float]) -> List[float]:
     out: List[float] = []
     for x in xs:
-        if out and x - out[-1] <= tol:
+        if out and x - out[-1] <= MERGE_TOL:
             continue
         out.append(x)
     return out
@@ -491,8 +492,14 @@ def restricted_variation(f, seq: LambdaSequence, delta: float, resolution: int =
         )
     value = _evaluator(f)
     vals = [value(x) for x in pts]
+    # the search's suffix bounds add increments: past the largest float they
+    # turn to NaN, prune every branch and leave a wrong value
+    if not math.isfinite(sum(abs(b - a) for a, b in zip(vals, vals[1:]))):
+        raise InvalidInputError("the variation overflows", field="fn")
     w = _weights(seq, max(1, len(pts) - 1))
     best_val, chosen = _restricted_search(pts, vals, w, delta)
+    if not math.isfinite(best_val):
+        raise InvalidInputError("the variation overflows", field="fn")
     diffs = [abs(vals[b] - vals[a]) for a, b in chosen]
     witness = IntervalSystem([(pts[a], pts[b]) for a, b in chosen])
     method = "grid-lower-bound"

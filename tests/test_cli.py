@@ -31,6 +31,12 @@ def files(tmp_path):
         "nan_plf": write("nan_plf.json",
                          '{"type": "plf", "points": [[0, NaN], [0.5, 1], [1, 0]]}'),
         "inf_bern": write("inf_bern.json", '{"type": "bernstein", "coeffs": [0, Infinity, 1]}'),
+        "wide_bern": write("wide_bern.json",
+                           '{"type": "bernstein", "coeffs": [1e308, -1e308, 1e308]}'),
+        "wide_plf": write("wide_plf.json",
+                          '{"type": "plf", "points": [[0, 0], [0.5, 1e308], [1, -1e308]]}'),
+        "tall_plf": write("tall_plf.json",
+                          '{"type": "plf", "points": [[0, 0], [0.5, 1e308], [1, 0]]}'),
         "dir": tmp_path,
     }
 
@@ -90,6 +96,29 @@ def test_non_finite_input_exits_2(capsys, files, argv, field):
     assert f"{field}: must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["variation", "--fn", "wide_bern", "--lambda", "const"],
+         "coeffs: differences of neighbouring coefficients overflow"),
+        (["variation", "--fn", "wide_plf", "--lambda", "const"],
+         "points[2][1]: increment from the previous point overflows"),
+        (["variation", "--fn", "tall_plf", "--lambda", "const"],
+         "fn: the variation overflows"),
+        (["variation", "--fn", "tall_plf", "--lambda", "const", "--delta", "0.5"],
+         "fn: the variation overflows"),
+    ],
+    ids=["bernstein-derivative", "plf-increment", "variation", "restricted-variation"],
+)
+def test_overflow_exits_2(capsys, files, argv, message):
+    # before these checks the first input printed an "exact" 0 and the others
+    # died in a traceback while printing infinity
+    code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_variation_missing_file_exits_2(capsys, files):
     code, _, err = run(capsys, ["variation", "--fn", str(files["dir"] / "no.json"),
                                 "--lambda", files["const"]])
@@ -111,6 +140,12 @@ def test_usage_errors_exit_1(capsys, files):
 
 def test_help_exits_0(capsys):
     assert run(capsys, ["--help"])[0] == 0
+
+
+def test_csv_columns_only_in_converge_help(capsys):
+    # diminish writes JSON only; converge writes the CSV table
+    assert "CSV columns" not in run(capsys, ["diminish", "--help"])[1]
+    assert "CSV columns" in run(capsys, ["converge", "--help"])[1]
 
 
 # -- operator ------------------------------------------------------------

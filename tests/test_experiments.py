@@ -20,6 +20,7 @@ from lamvar.functions import (
     PiecewiseLinear,
     StepFunction,
     critical_points,
+    isolate_extrema,
     named_function,
 )
 from lamvar.lambda_seq import LambdaSequence
@@ -272,15 +273,25 @@ def test_outputs_match_pinned_digests():
     converge = run_convergence_study(
         random_plf(11, 6), LambdaSequence.linear(1.0, 0.0), [4, 16, 64, 256]
     )
+    # isolated roots on both sides of the numpy cutover, up to degree 1023
+    rng = random.Random(6)
+    polys = [
+        BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)])
+        for n in list(range(2, 13)) * 3 + [48, 49]
+    ]
+    polys += [bernstein_of(random_plf(n, 5), n) for n in (48, 49, 200, 1023)]
+    roots = [isolate_extrema(p).points for p in polys]
     assert len(oracle) == 24
     assert {
         "diminish": sha1(dumps(diminish.to_json(), indent=2)),
         "oracle": sha1(dumps(oracle, indent=2)),
         "converge": sha1(converge.to_csv()),
+        "roots": sha1(dumps(roots)),
     } == {
         "diminish": "09e4fb9d76d67818afbf1ecc84bf949484981ed2",
         "oracle": "671eb0d20094d697bed1b20ff25f80132ce74949",
         "converge": "f9638895d063104d0c8a7d9a16af71b822d78082",
+        "roots": "16af5b6d3b2c83808f6fc6f467cbcdda34a84286",
     }
 
 # -- continuity-set check ------------------------------------------------

@@ -1,7 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lamvar import (
     BernsteinPoly,
@@ -10,12 +12,15 @@ from lamvar import (
     InvalidInputError,
     PiecewiseLinear,
     PiecewisePolynomial,
+    ResourceError,
     StepFunction,
     critical_points,
     isolate_extrema,
     named_function,
     subtract,
 )
+from lamvar import functions
+from lamvar.functions import _sign_change_params
 
 
 # independent oracle: convert Bernstein coefficients to the power basis
@@ -74,6 +79,8 @@ def test_plf_validation():
             PiecewiseLinear([(0.0, bad), (0.5, 1.0), (1.0, 0.0)])
         with pytest.raises(InvalidInputError, match=r"points\[1\]\[0\]: must be finite"):
             PiecewiseLinear([(0.0, 0.0), (bad, 1.0), (1.0, 0.0)])
+    with pytest.raises(InvalidInputError, match=r"points\[2\]\[1\]: increment .* overflows"):
+        PiecewiseLinear([(0.0, 0.0), (0.5, 1e308), (1.0, -1e308)])
 
 
 def test_step_eval_and_cut_values():
@@ -300,6 +307,65 @@ def test_isolate_extrema_snaps_noise_to_constant():
     p = BernsteinPoly([0.3, 0.7]).elevate(63)
     cs = isolate_extrema(p)
     assert cs.points == (0.0, 1.0)
+
+
+# A degree-200 derivative with one sign change near 0.225 that is numerically
+# flat on [0.5, 1]: subdivision visits 63 panels, the last of them [0.5, 1].
+_FLAT_RIGHT = [0.0] * 201
+_FLAT_RIGHT[24] = -1.0
+_FLAT_RIGHT[48] = 0.001
+
+
+def test_sign_change_params_skips_flat_panel():
+    assert _sign_change_params(_FLAT_RIGHT, 1e-12) == [0.22522299969568849]
+    # negative before the flat half: a flat panel taken as positive would add 0.5
+    dc = [0.0] * 201
+    dc[0], dc[20] = 1.0, -1.0
+    assert _sign_change_params(dc, 1e-12) == [0.04178987993509509]
+
+
+def test_sign_change_params_panel_budget(monkeypatch):
+    monkeypatch.setattr(functions, "_MAX_PANELS", 63)
+    assert _sign_change_params(_FLAT_RIGHT, 1e-12) == [0.22522299969568849]
+    monkeypatch.setattr(functions, "_MAX_PANELS", 62)
+    with pytest.raises(ResourceError, match=r"stalled on panel \[0\.5, 1\]$"):
+        _sign_change_params(_FLAT_RIGHT, 1e-12)
+
+
+def test_sign_change_params_bisects_wide_gap():
+    # the uncertified gap between opposite panels is wider than the tolerance:
+    # bisection lands on 0.375, where the gap midpoint would be 0.5
+    assert _sign_change_params((-1.0, -0.5, 0.5, 0.0, 0.0, -0.5, 1.0), 0.25) == [0.375]
+
+
+def _dc_grid(coeffs, ts):
+    """de Casteljau at every t of ts at once (columns), independent of lamvar."""
+    w = np.repeat(np.asarray(coeffs, dtype=np.float64)[:, None], len(ts), axis=1)
+    for _ in range(len(coeffs) - 1):
+        w = (1.0 - ts) * w[:-1] + ts * w[1:]
+    return w[0]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1)
+    )
+)
+def test_isolated_roots_match_grid_sign_changes(coeffs):
+    p = BernsteinPoly(coeffs)
+    dcoeffs = p.derivative().coeffs
+    cs = isolate_extrema(p)
+    roots = [x for x, tag in zip(cs.points, cs.tags) if tag == "isolated-root"]
+    grid = np.linspace(0.0, 1.0, 2001)
+    d = _dc_grid(dcoeffs, grid)
+    for i in range(len(grid) - 1):
+        if d[i] * d[i + 1] < 0 and min(abs(d[i]), abs(d[i + 1])) > 1e-6:
+            assert any(grid[i] < r < grid[i + 1] for r in roots), (i, roots)
+    for r in roots:
+        left, right = _dc_grid(dcoeffs, np.array([r - 1e-7, r + 1e-7]))
+        if min(abs(left), abs(right)) > 1e-12:
+            assert left * right <= 0, (r, left, right)
 
 
 def test_critical_set_merges_coincident_points():

@@ -397,6 +397,14 @@ def test_restricted_parameter_guards():
         restricted_variation(ident, SEQ_N, 0.5, resolution=4096)
 
 
+def test_restricted_overflow_is_refused():
+    # each increment is finite, but their sums in the search's bounds are not:
+    # unchecked, every branch is pruned and 0.0 comes back tagged "exact"
+    f = PiecewiseLinear([(0.0, 0.0), (0.5, 0.0), (0.75, 9e307), (1.0, 0.0)])
+    with pytest.raises(InvalidInputError, match="fn: the variation overflows"):
+        restricted_variation(f, SEQ_1, 0.5)
+
+
 # -- profiles --------------------------------------------------------------
 
 
