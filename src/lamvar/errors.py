@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the positive-integer check."""
 
 
 class DomainError(ValueError):
@@ -24,3 +24,9 @@ class ResourceError(RuntimeError):
 
 class PropertyViolationError(RuntimeError):
     """A checked mathematical property failed to hold."""
+
+
+def _check_positive_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return value

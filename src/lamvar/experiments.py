@@ -5,18 +5,17 @@ falsification run over random or scheduled inputs and returns an
 :class:`ExperimentReport`.  Reports are byte-reproducible from (seed, config):
 per-case seeds derive as ``campaign_seed * 1_000_003 + case_index``, so cases
 are independent and could run in any order or in parallel without changing the
-output.  Wall-clock numbers are tracked on the report object but stay out of
-the default serialization to keep it deterministic.
+output.  Reports carry no wall-clock numbers; campaigns are timed from
+outside.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, _check_positive_int
 from .functions import PiecewiseLinear, StepFunction, critical_points, named_function
 from .lambda_seq import LambdaSequence
 from .operators import bernstein_of, kantorovich_of
@@ -31,6 +30,11 @@ from .variation import (
 )
 
 _CSV_HEADER = "case_id,inputs_digest,key_values,margin,violation"
+
+#: A diminish margin below -DIMINISH_TOLERANCE is a violation.
+DIMINISH_TOLERANCE = 1e-9
+#: Largest breakpoint count of a diminish case's random function.
+DIMINISH_MAX_BREAKPOINTS = 8
 
 _FAMILY_BUILDERS = {
     "constant": lambda: LambdaSequence.constant(1.0),
@@ -72,33 +76,31 @@ class ExperimentReport:
     """Campaign result: config echo, per-case records, violations, summary.
 
     Every case record has the shape {case_id, inputs, outputs, margin,
-    violation}; `inputs` is enough to replay the case in isolation.
+    violation}; `inputs` is enough to replay the case in isolation.  The
+    report holds only these deterministic values, so its JSON and CSV are
+    byte-reproducible.
     """
 
-    __slots__ = ("campaign", "config", "cases", "violations", "summary", "max_case_runtime_ms")
+    __slots__ = ("campaign", "config", "cases", "violations", "summary")
 
-    def __init__(self, campaign, config, cases, violations, summary, max_case_runtime_ms=0.0):
+    def __init__(self, campaign, config, cases, violations, summary):
         self.campaign = campaign
         self.config = config
         self.cases = list(cases)
         self.violations = list(violations)
         self.summary = dict(summary)
-        self.max_case_runtime_ms = max_case_runtime_ms
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json(self, include_runtime: bool = False) -> dict:
-        summary = dict(self.summary)
-        if include_runtime:
-            summary["max_case_runtime_ms"] = self.max_case_runtime_ms
+    def to_json(self) -> dict:
         return {
             "campaign": self.campaign,
             "config": self.config,
             "cases": self.cases,
             "violations": self.violations,
-            "summary": summary,
+            "summary": dict(self.summary),
         }
 
     def to_csv(self) -> str:
@@ -173,34 +175,24 @@ def _skipped(case_id: int, inputs: dict, exc: ResourceError) -> dict:
     }
 
 
-def _check_positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
 def run_diminish_campaign(
     seed: int = 42,
     cases: int = 500,
     lambda_families: Sequence[str] = ("constant", "linear", "power"),
     n_max: int = 12,
     operators: str = "both",
-    tolerance: float = 1e-9,
-    max_breakpoints: int = 8,
 ) -> ExperimentReport:
     """Check variation(op_n f) <= variation(f) on a random corpus.
 
     Per case: draw f, compute its variation once per weight family, then for
     every (operator, degree, family) compare against the variation of the
     image polynomial on its own critical set.  margin = V(f) - V(op_n f);
-    a margin below -tolerance is a violation.  Solver resource errors skip the
+    a margin below -DIMINISH_TOLERANCE is a violation.  Functions have 2 to
+    DIMINISH_MAX_BREAKPOINTS breakpoints.  Solver resource errors skip the
     case and are counted, not fatal.
     """
     cases = _check_positive_int(cases, "cases")
     n_max = _check_positive_int(n_max, "n_max")
-    if isinstance(max_breakpoints, bool) or not isinstance(max_breakpoints, int) \
-            or not 2 <= max_breakpoints <= 9:
-        raise DomainError(f"max_breakpoints must lie in [2, 9], got {max_breakpoints!r}")
     ops = _operator_list(operators)
     seqs = [(name, family_sequence(name)) for name in lambda_families]
     if not seqs:
@@ -212,22 +204,20 @@ def run_diminish_campaign(
         "lambda_families": list(lambda_families),
         "n_max": n_max,
         "operators": operators,
-        "tolerance": tolerance,
-        "max_breakpoints": max_breakpoints,
+        "tolerance": DIMINISH_TOLERANCE,
+        "max_breakpoints": DIMINISH_MAX_BREAKPOINTS,
     }
     records: List[dict] = []
     violations: List[dict] = []
     min_margin = float("inf")
     skipped = 0
-    max_ms = 0.0
 
     for index in range(cases):
         cseed = _case_seed(seed, index)
         rng = random.Random(cseed)
-        bc = rng.randint(2, max_breakpoints)
+        bc = rng.randint(2, DIMINISH_MAX_BREAKPOINTS)
         f = random_plf(rng.randrange(2 ** 63), bc)
         inputs = {"seed": cseed, "points": [[x, y] for x, y in f.breakpoints]}
-        started = time.perf_counter()
         try:
             base = {name: lambda_variation(f, seq).value for name, seq in seqs}
             worst = None
@@ -239,7 +229,7 @@ def run_diminish_campaign(
                         margin = base[name] - lambda_variation_on_set(p, seq, pts).value
                         if worst is None or margin < worst[0]:
                             worst = (margin, op_name, n, name)
-                        if margin < -tolerance:
+                        if margin < -DIMINISH_TOLERANCE:
                             violations.append(
                                 {
                                     "case_id": index,
@@ -253,8 +243,6 @@ def run_diminish_campaign(
             skipped += 1
             records.append(_skipped(index, inputs, exc))
             continue
-        finally:
-            max_ms = max(max_ms, (time.perf_counter() - started) * 1000.0)
         margin, op_name, n, name = worst
         min_margin = min(min_margin, margin)
         records.append(
@@ -268,7 +256,7 @@ def run_diminish_campaign(
                     "worst_family": name,
                 },
                 "margin": margin,
-                "violation": margin < -tolerance,
+                "violation": margin < -DIMINISH_TOLERANCE,
             }
         )
 
@@ -278,7 +266,7 @@ def run_diminish_campaign(
         "min_margin": min_margin if min_margin != float("inf") else 0.0,
         "skipped": skipped,
     }
-    return ExperimentReport("diminish", config, records, violations, summary, max_ms)
+    return ExperimentReport("diminish", config, records, violations, summary)
 
 
 def run_counterexample(
@@ -322,15 +310,12 @@ def run_counterexample(
     violations: List[dict] = []
     min_excess = float("inf")
     min_gap = float("inf")
-    max_ms = 0.0
 
     for n in ns:
-        started = time.perf_counter()
         p = bernstein_of(f, n)
         lower = sigma(p, system, seq)
         excess = lower - baseline
         gap = p.eval(delta) - f_at_delta
-        max_ms = max(max_ms, (time.perf_counter() - started) * 1000.0)
         min_excess = min(min_excess, excess)
         min_gap = min(min_gap, gap)
         margin = min(excess, gap)
@@ -358,7 +343,7 @@ def run_counterexample(
         "min_value_gap": min_gap,
         "violation_count": len(violations),
     }
-    return ExperimentReport("counterexample", config, records, violations, summary, max_ms)
+    return ExperimentReport("counterexample", config, records, violations, summary)
 
 
 def run_convergence_study(
@@ -392,10 +377,8 @@ def run_convergence_study(
     records: List[dict] = []
     violations: List[dict] = []
     columns: Dict[str, List[float]] = {"d_bernstein": [], "d_kantorovich": [], "norm_gap": []}
-    max_ms = 0.0
 
     for idx, n in enumerate(ns):
-        started = time.perf_counter()
         try:
             p = bernstein_of(f, n)
             d_b = lambda_distance(p, f, seq)
@@ -404,8 +387,6 @@ def run_convergence_study(
         except ResourceError as exc:
             records.append(_skipped(idx, {"n": n}, exc))
             continue
-        finally:
-            max_ms = max(max_ms, (time.perf_counter() - started) * 1000.0)
         columns["d_bernstein"].append(d_b)
         columns["d_kantorovich"].append(d_k)
         columns["norm_gap"].append(gap)
@@ -435,7 +416,7 @@ def run_convergence_study(
         "trend": trend,
         "violation_count": len(violations),
     }
-    return ExperimentReport("converge", config, records, violations, summary, max_ms)
+    return ExperimentReport("converge", config, records, violations, summary)
 
 
 def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
@@ -452,7 +433,6 @@ def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
     records: List[dict] = []
     violations: List[dict] = []
     max_diff = 0.0
-    max_ms = 0.0
 
     for index in range(cases):
         cseed = _case_seed(seed, index)
@@ -460,10 +440,8 @@ def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
         bc = rng.randint(2, 9)
         f = random_plf(rng.randrange(2 ** 63), bc)
         name, seq = seqs[index % len(seqs)]
-        started = time.perf_counter()
         exact = lambda_variation(f, seq).value
-        oracle = grid_oracle(f, seq, critical_points(f).points, cap=16)
-        max_ms = max(max_ms, (time.perf_counter() - started) * 1000.0)
+        oracle = grid_oracle(f, seq, critical_points(f).points)
         diff = abs(exact - oracle)
         max_diff = max(max_diff, diff)
         margin = 1e-9 - diff
@@ -485,7 +463,7 @@ def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
         "max_abs_diff": max_diff,
         "violation_count": len(violations),
     }
-    return ExperimentReport("oracle-check", config, records, violations, summary, max_ms)
+    return ExperimentReport("oracle-check", config, records, violations, summary)
 
 
 def check_continuity_set(f: StepFunction, seq: LambdaSequence) -> ExperimentReport:
@@ -494,10 +472,8 @@ def check_continuity_set(f: StepFunction, seq: LambdaSequence) -> ExperimentRepo
     if not isinstance(f, StepFunction):
         raise DomainError("continuity-set check expects a step function")
     continuity = sorted(set(f.piece_midpoints()) | {0.0, 1.0})
-    started = time.perf_counter()
     full = lambda_variation(f, seq).value
     restricted = lambda_variation_on_set(f, seq, continuity).value
-    elapsed = (time.perf_counter() - started) * 1000.0
     diff = abs(full - restricted)
     margin = 1e-9 - diff
     bad = diff > 1e-9
@@ -511,4 +487,4 @@ def check_continuity_set(f: StepFunction, seq: LambdaSequence) -> ExperimentRepo
     violations = [{"case_id": 0, "abs_diff": diff}] if bad else []
     summary = {"abs_diff": diff, "violation_count": len(violations)}
     config = {"function": f.to_json(), "lambda": seq.to_json()}
-    return ExperimentReport("continuity-set", config, [record], violations, summary, elapsed)
+    return ExperimentReport("continuity-set", config, [record], violations, summary)

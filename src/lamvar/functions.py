@@ -22,7 +22,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, ResourceError
+from .errors import DomainError, InvalidInputError, ResourceError, _check_positive_int
 
 EVAL_TOL = 1e-12
 
@@ -121,7 +121,8 @@ class PiecewiseLinear:
             lo = max(a, self.xs[i])
             hi = min(b, self.xs[i + 1])
             if hi > lo:
-                total += 0.5 * (self.eval(lo) + self.eval(hi)) * (hi - lo)
+                # halving each end first keeps the mean finite where the sum overflows
+                total += (0.5 * self.eval(lo) + 0.5 * self.eval(hi)) * (hi - lo)
         return total
 
     def total_variation(self) -> float:
@@ -319,8 +320,7 @@ class BernsteinPoly:
     def elevate(self, r: int = 1) -> "BernsteinPoly":
         """Degree elevation by r; the function is unchanged.  One array step per
         degree does the scalar recurrence's IEEE operations in order, bit for bit."""
-        if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-            raise DomainError(f"elevation count must be a positive integer, got {r!r}")
+        _check_positive_int(r, "elevation count")
         c = np.asarray(self.coeffs, dtype=np.float64)
         for _ in range(r):
             n = len(c) - 1

@@ -10,7 +10,6 @@ shift ``m`` turns a sequence into its tail: ``term(n) == base_term(n + m)``.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Any, Dict, Mapping
 
 import numpy as np
@@ -35,13 +34,10 @@ def _require_number(obj: Any, field: str) -> float:
 class LambdaSequence:
     """A positive nondecreasing weight sequence with an index shift.
 
-    Instances are immutable except for an internal memo of reciprocal partial
-    sums.  The memo is guarded by a lock, and memoized values are pure functions
-    of the construction parameters, so concurrent readers always observe
-    identical results regardless of interleaving.
+    Instances are immutable.
     """
 
-    __slots__ = ("_family", "_params", "_shift", "_lock", "_recip_cumsum")
+    __slots__ = ("_family", "_params", "_shift")
 
     def __init__(self, family: str, params: Mapping[str, Any], shift: int = 0):
         if family not in _FAMILIES:
@@ -53,8 +49,6 @@ class LambdaSequence:
         self._family = family
         self._params = self._canonical_params(family, params)
         self._shift = shift
-        self._lock = threading.Lock()
-        self._recip_cumsum: np.ndarray | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -233,22 +227,16 @@ class LambdaSequence:
     # -- reciprocal sums --------------------------------------------------
 
     def reciprocal_sum(self, count: int) -> float:
-        """Sum of 1/term(i) for i = 1..count, memoized."""
+        """Sum of 1/term(i) for i = 1..count, added left to right over
+        ``terms(count)``."""
         if count < 1:
             raise DomainError(f"count must be >= 1, got {count}")
-        with self._lock:
-            cum = self._recip_cumsum
-            if cum is None or len(cum) < count:
-                grow_to = max(count, 1024 if cum is None else 2 * len(cum))
-                grow_to = min(grow_to, PREFIX_BUDGET - self._shift)
-                if count > grow_to:
-                    raise ResourceError(
-                        f"reciprocal sum over {count} terms exceeds the "
-                        f"materialization budget of {PREFIX_BUDGET}"
-                    )
-                self._recip_cumsum = np.cumsum(1.0 / self.terms(grow_to))
-                cum = self._recip_cumsum
-            return float(cum[count - 1])
+        if count + self._shift > PREFIX_BUDGET:
+            raise ResourceError(
+                f"reciprocal sum over {count} terms exceeds the "
+                f"materialization budget of {PREFIX_BUDGET}"
+            )
+        return float(np.cumsum(1.0 / self.terms(count))[-1])
 
     def shao_sablin_ratio(self, n: int) -> float:
         """Partial-sum ratio (sum_{i<=2n} 1/lam_i) / (sum_{i<=n} 1/lam_i)."""

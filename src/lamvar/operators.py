@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 
-from .errors import DomainError, InvalidInputError, ResourceError
+from .errors import InvalidInputError, ResourceError, _check_positive_int
 from .functions import BernsteinPoly, PiecewiseLinear, _evaluator, isolate_extrema
 
 
@@ -28,8 +28,7 @@ DEGREE_CAP = 1 << 16
 
 
 def _check_degree(n) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"degree must be a positive integer, got {n!r}")
+    _check_positive_int(n, "degree")
     if n > DEGREE_CAP:
         raise ResourceError(f"degree {n} exceeds the degree cap of {DEGREE_CAP}")
 

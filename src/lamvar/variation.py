@@ -25,12 +25,15 @@ from .errors import (
     InvalidInputError,
     PropertyViolationError,
     ResourceError,
+    _check_positive_int,
 )
 from .functions import MERGE_TOL, PiecewiseLinear, _evaluator, critical_points, subtract
 from .lambda_seq import LambdaSequence
 
 #: Exact-solver cap on candidate points (subset search is exponential).
 SOLVER_POINT_CAP = 24
+#: Grid-oracle cap on grid points (it enumerates every subset).
+ORACLE_POINT_CAP = 16
 #: Restricted solver cap; its branch-and-bound uses a remaining-total-variation
 #: bound and handles far larger candidate sets than the subset solver.
 RESTRICTED_CANDIDATE_CAP = 512
@@ -265,7 +268,7 @@ def _best_over_permutations(diffs: Sequence[float], rank_terms: np.ndarray) -> f
     return max(0.0, float(sums.max()))
 
 
-def grid_oracle(f, seq: LambdaSequence, grid: Iterable[float], cap: int = 16) -> float:
+def grid_oracle(f, seq: LambdaSequence, grid: Iterable[float]) -> float:
     """Independent brute-force maximum over ALL subsets of a small grid.
 
     No pruning and no reliance on critical-point theory; for grids of at most
@@ -274,12 +277,10 @@ def grid_oracle(f, seq: LambdaSequence, grid: Iterable[float], cap: int = 16) ->
     read once per call and the permutations of one subset are evaluated as
     array columns.
     """
-    if isinstance(cap, bool) or not isinstance(cap, int) or not 1 <= cap <= 16:
-        raise DomainError(f"cap must be an integer in [1, 16], got {cap!r}")
     pts = _dedup_sorted(sorted(float(x) for x in grid))
     n = len(pts)
-    if n > cap:
-        raise ResourceError(f"grid of {n} points exceeds the oracle cap of {cap}")
+    if n > ORACLE_POINT_CAP:
+        raise ResourceError(f"grid of {n} points exceeds the oracle cap of {ORACLE_POINT_CAP}")
     value = _evaluator(f)
     vals = [value(x) for x in pts]
     verify = n <= 8
@@ -473,8 +474,7 @@ def restricted_variation(f, seq: LambdaSequence, delta: float, resolution: int =
     """
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"delta must lie in (0, 1], got {delta!r}")
-    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
-        raise DomainError(f"resolution must be a positive integer, got {resolution!r}")
+    _check_positive_int(resolution, "resolution")
     base = set(critical_points(f).points)
     if isinstance(f, PiecewiseLinear):
         base.update(f.xs)
@@ -544,10 +544,12 @@ def tail_variation(f, seq: LambdaSequence, m: int) -> float:
 
 def lambda_norm(f, seq: LambdaSequence) -> float:
     """Variation plus |f(0)|; a norm on the space where the variation is finite."""
-    return lambda_variation(f, seq).value + abs(_evaluator(f)(0.0))
+    norm = lambda_variation(f, seq).value + abs(_evaluator(f)(0.0))
+    if not math.isfinite(norm):
+        raise InvalidInputError("the norm overflows", field="fn")
+    return norm
 
 
 def lambda_distance(p, f: PiecewiseLinear, seq: LambdaSequence) -> float:
     """Norm of the difference p - f (p a Bernstein polynomial on [0,1])."""
-    h = subtract(p, f)
-    return lambda_variation(h, seq).value + abs(h.eval(0.0))
+    return lambda_norm(subtract(p, f), seq)

@@ -45,8 +45,9 @@ def _report(num: int, name: str, detail: str) -> None:
 
 def test_c01_variation_diminishing_campaign():
     rep = run_diminish_campaign(seed=42, cases=500, n_max=12, operators="both",
-                                lambda_families=("constant", "linear", "power"),
-                                tolerance=1e-9, max_breakpoints=8)
+                                lambda_families=("constant", "linear", "power"))
+    assert rep.config["tolerance"] == 1e-9
+    assert rep.config["max_breakpoints"] == 8
     assert rep.summary["violation_count"] == 0
     assert rep.summary["skipped"] == 0
     assert rep.summary["min_margin"] >= -1e-9

@@ -35,6 +35,8 @@ def files(tmp_path):
                            '{"type": "bernstein", "coeffs": [1e308, -1e308, 1e308]}'),
         "wide_plf": write("wide_plf.json",
                           '{"type": "plf", "points": [[0, 0], [0.5, 1e308], [1, -1e308]]}'),
+        "high_plf": write("high_plf.json",
+                          '{"type": "plf", "points": [[0, 1.5e308], [0.5, 0], [1, 0]]}'),
         "tall_plf": write("tall_plf.json",
                           '{"type": "plf", "points": [[0, 0], [0.5, 1e308], [1, 0]]}'),
         "dir": tmp_path,
@@ -107,8 +109,11 @@ def test_non_finite_input_exits_2(capsys, files, argv, field):
          "fn: the variation overflows"),
         (["variation", "--fn", "tall_plf", "--lambda", "const", "--delta", "0.5"],
          "fn: the variation overflows"),
+        (["converge", "--fn", "high_plf", "--lambda", "lin", "--schedule", "1,2"],
+         "fn: the norm overflows"),
     ],
-    ids=["bernstein-derivative", "plf-increment", "variation", "restricted-variation"],
+    ids=["bernstein-derivative", "plf-increment", "variation", "restricted-variation",
+         "converge-norm"],
 )
 def test_overflow_exits_2(capsys, files, argv, message):
     # before these checks the first input printed an "exact" 0 and the others

@@ -115,7 +115,6 @@ def test_reciprocal_sum_harmonic():
     seq = LambdaSequence.linear(1.0, 0.0)
     target = sum(1.0 / k for k in range(1, 101))
     assert seq.reciprocal_sum(100) == pytest.approx(target, abs=1e-12)
-    # memoized growth must not change earlier values
     assert seq.reciprocal_sum(3) == pytest.approx(1.0 + 0.5 + 1.0 / 3.0, abs=1e-15)
 
 
@@ -145,12 +144,31 @@ def test_shao_sablin_linear_value():
     assert seq.shao_sablin_ratio(1000) == pytest.approx(h(2000) / h(1000), rel=1e-12)
 
 
+@pytest.mark.parametrize("shift", [0, 7])
+def test_reciprocal_sum_is_prefix_of_one_cumsum(shift):
+    # each sum adds its own terms(n); they must be the bits of one long cumsum
+    families = [
+        LambdaSequence.constant(3.0),
+        LambdaSequence.linear(2.0, 1.0),
+        LambdaSequence.power(0.7),
+        LambdaSequence.nlog(),
+        LambdaSequence.explicit([1.0, 2.0, 2.0, 5.0], 0.5, 3.0),
+    ]
+    for seq in families:
+        seq = seq.tail(shift) if shift else seq
+        cum = np.cumsum(1.0 / seq.terms(4096))
+        for n in range(1, 4097):
+            assert seq.reciprocal_sum(n) == cum[n - 1], (seq, n)
+
+
 def test_budget_guard():
     seq = LambdaSequence.linear(1.0, 0.0)
     with pytest.raises(ResourceError):
         seq.terms(PREFIX_BUDGET + 1)
     with pytest.raises(ResourceError):
         seq.reciprocal_sum(PREFIX_BUDGET + 1)
+    with pytest.raises(ResourceError, match="reciprocal sum over 4194300 terms"):
+        seq.tail(5).reciprocal_sum(PREFIX_BUDGET - 4)
 
 
 def test_validation_field_paths():

@@ -93,6 +93,13 @@ def test_kantorovich_factors_through_aux():
         assert factored == pytest.approx(direct, abs=1e-12)
 
 
+def test_kantorovich_mean_of_huge_values_stays_finite():
+    # f(lo) + f(hi) overflows here although their mean does not
+    f = PiecewiseLinear([(0.0, 0.0), (1.0, 1.7e308)])
+    coeffs = kantorovich_of(f, 3).coeffs
+    assert coeffs == pytest.approx([1.7e308 / 8 * (2 * k + 1) for k in range(4)], rel=1e-15)
+
+
 def test_kantorovich_requires_exact_integration():
     with pytest.raises(InvalidInputError):
         kantorovich_of(BernsteinPoly([0.0, 1.0]), 3)

@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lamvar.variation
 from lamvar import (
+    BernsteinPoly,
     DomainError,
     IntervalSystem,
     InvalidInputError,
@@ -28,6 +30,7 @@ from lamvar import (
     tail_variation,
     wiener_profile,
 )
+from lamvar.experiments import family_sequence
 from lamvar.variation import (
     _best_over_permutations,
     _restricted_search,
@@ -316,12 +319,9 @@ def test_grid_oracle_cross_check_fires(monkeypatch, points, off, raises):
 
 def test_grid_oracle_guards():
     ident = named_function("identity")
-    with pytest.raises(DomainError):
-        grid_oracle(ident, SEQ_N, [0.0, 1.0], cap=0)
-    with pytest.raises(DomainError):
-        grid_oracle(ident, SEQ_N, [0.0, 1.0], cap=17)
-    with pytest.raises(ResourceError):
-        grid_oracle(ident, SEQ_N, [k / 20 for k in range(21)], cap=16)
+    assert grid_oracle(ident, SEQ_N, [k / 15 for k in range(16)]) == pytest.approx(1.0)
+    with pytest.raises(ResourceError, match="oracle cap of 16"):
+        grid_oracle(ident, SEQ_N, [k / 16 for k in range(17)])
 
 
 # -- restricted solver -----------------------------------------------------
@@ -431,3 +431,44 @@ def test_wiener_schedule_validation():
         wiener_profile(ident, SEQ_N, [0.5])
     with pytest.raises(DomainError):
         wiener_profile(ident, SEQ_N, [0.25, 0.5])
+
+
+# -- metamorphic properties ------------------------------------------------
+
+SEQS = st.sampled_from(["constant", "linear", "power", "nlog", "explicit"]).map(family_sequence)
+# 2-6 breakpoints at distinct hundredths, values in [-1, 1]
+PLFS = st.tuples(
+    st.lists(st.integers(1, 99), unique=True, max_size=4),
+    st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+).map(lambda t: PiecewiseLinear(list(zip([0.0] + sorted(k / 100 for k in t[0]) + [1.0], t[1]))))
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+@PROPERTY
+@given(PLFS, st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=7), SEQS)
+def test_variation_invariant_under_reflection(f, coeffs, seq):
+    mirror = PiecewiseLinear([(1.0 - x, y) for x, y in reversed(f.breakpoints)])
+    assert lambda_variation(mirror, seq).value == pytest.approx(
+        lambda_variation(f, seq).value, rel=1e-12, abs=1e-15)
+    # reversed Bernstein coefficients are the polynomial of 1 - x
+    p, q = BernsteinPoly(coeffs), BernsteinPoly(coeffs[::-1])
+    assert lambda_variation(q, seq).value == pytest.approx(
+        lambda_variation(p, seq).value, rel=1e-9, abs=1e-12)
+
+
+@PROPERTY
+@given(PLFS, SEQS, st.floats(-10.0, 10.0), st.floats(0.01, 100.0))
+def test_variation_shift_invariant_and_homogeneous(f, seq, shift, scale):
+    value = lambda_variation(f, seq).value
+    shifted = PiecewiseLinear([(x, y + shift) for x, y in f.breakpoints])
+    assert lambda_variation(shifted, seq).value == pytest.approx(value, rel=1e-12, abs=1e-13)
+    scaled = PiecewiseLinear([(x, scale * y) for x, y in f.breakpoints])
+    assert lambda_variation(scaled, seq).value == pytest.approx(scale * value, rel=1e-12, abs=1e-15)
+
+
+@PROPERTY
+@given(PLFS, SEQS)
+def test_restricted_variation_at_most_unrestricted(f, seq):
+    value = lambda_variation(f, seq).value
+    assert restricted_variation(f, seq, 1.0).value == pytest.approx(value, rel=1e-12, abs=1e-15)
+    assert restricted_variation(f, seq, 0.5).value <= value * (1.0 + 1e-12) + 1e-15
