@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from .errors import DomainError, ResourceError, _check_positive_int
 from .functions import PiecewiseLinear, StepFunction, critical_points, named_function
 from .lambda_seq import LambdaSequence
-from .operators import bernstein_of, kantorovich_of
+from .operators import _check_degree, bernstein_of, kantorovich_of
 from .serialize import dumps, format_float
 from .variation import (
     lambda_norm,
@@ -123,29 +123,25 @@ class ExperimentReport:
 def random_plf(
     seed: int,
     breakpoint_count: int,
-    value_range: Tuple[float, float] = (-1.0, 1.0),
     monotone: bool = False,
 ) -> PiecewiseLinear:
     """Deterministic random piecewise-linear function on [0,1].
 
     Breakpoint x's are 0, 1, and sorted uniform interior draws (redrawn as a
     block, still deterministically, if any spacing falls under 1e-9); y's are
-    uniform in value_range, sorted when monotone is set.
+    uniform in [-1, 1], sorted when monotone is set.
     """
     if isinstance(breakpoint_count, bool) or not isinstance(breakpoint_count, int):
         raise DomainError(f"breakpoint_count must be an integer, got {breakpoint_count!r}")
     if not 2 <= breakpoint_count <= 9:
         raise DomainError(f"breakpoint_count must lie in [2, 9], got {breakpoint_count}")
-    lo, hi = float(value_range[0]), float(value_range[1])
-    if not lo < hi:
-        raise DomainError(f"value_range must satisfy lo < hi, got {value_range!r}")
     rng = random.Random(seed)
     interior = breakpoint_count - 2
     while True:
         xs = [0.0] + sorted(rng.uniform(0.0, 1.0) for _ in range(interior)) + [1.0]
         if all(b - a >= 1e-9 for a, b in zip(xs, xs[1:])):
             break
-    ys = [rng.uniform(lo, hi) for _ in range(breakpoint_count)]
+    ys = [rng.uniform(-1.0, 1.0) for _ in range(breakpoint_count)]
     if monotone:
         ys.sort()
     return PiecewiseLinear(list(zip(xs, ys)))
@@ -164,15 +160,20 @@ def _operator_list(operators: str):
     return ops[operators]
 
 
-def _skipped(case_id: int, inputs: dict, exc: ResourceError) -> dict:
-    """Record of a case that hit a solver cap: kept, but no violation."""
+def _case(case_id: int, inputs: dict, outputs: dict, margin: float, violation: bool) -> dict:
+    """One case record, in the documented field order."""
     return {
         "case_id": case_id,
         "inputs": inputs,
-        "outputs": {"skipped": True, "reason": str(exc)},
-        "margin": 0.0,
-        "violation": False,
+        "outputs": outputs,
+        "margin": margin,
+        "violation": violation,
     }
+
+
+def _skipped(case_id: int, inputs: dict, exc: ResourceError) -> dict:
+    """Record of a case that hit a solver cap: kept, but no violation."""
+    return _case(case_id, inputs, {"skipped": True, "reason": str(exc)}, 0.0, False)
 
 
 def run_diminish_campaign(
@@ -245,20 +246,8 @@ def run_diminish_campaign(
             continue
         margin, op_name, n, name = worst
         min_margin = min(min_margin, margin)
-        records.append(
-            {
-                "case_id": index,
-                "inputs": inputs,
-                "outputs": {
-                    "min_margin": margin,
-                    "worst_op": op_name,
-                    "worst_n": n,
-                    "worst_family": name,
-                },
-                "margin": margin,
-                "violation": margin < -DIMINISH_TOLERANCE,
-            }
-        )
+        outputs = {"min_margin": margin, "worst_op": op_name, "worst_n": n, "worst_family": name}
+        records.append(_case(index, inputs, outputs, margin, margin < -DIMINISH_TOLERANCE))
 
     summary = {
         "cases": cases,
@@ -292,6 +281,8 @@ def run_counterexample(
     ns = [_check_positive_int(n, "n") for n in n_values]
     if not ns:
         raise DomainError("n_values must not be empty")
+    for n in ns:
+        _check_degree(n)
 
     f = named_function("counterexample")
     f_at_delta = f.eval(delta)
@@ -315,25 +306,16 @@ def run_counterexample(
         p = bernstein_of(f, n)
         lower = sigma(p, system, seq)
         excess = lower - baseline
-        gap = p.eval(delta) - f_at_delta
+        value = p.eval(delta)
+        gap = value - f_at_delta
         min_excess = min(min_excess, excess)
         min_gap = min(min_gap, gap)
         margin = min(excess, gap)
         bad = excess <= 0.0 or gap <= 0.0
-        records.append(
-            {
-                "case_id": n,
-                "inputs": {"n": n, "delta": delta},
-                "outputs": {
-                    "sigma_lower_bound": lower,
-                    "excess": excess,
-                    "value_at_delta": p.eval(delta),
-                    "value_gap": gap,
-                },
-                "margin": margin,
-                "violation": bad,
-            }
-        )
+        outputs = {
+            "sigma_lower_bound": lower, "excess": excess, "value_at_delta": value, "value_gap": gap
+        }
+        records.append(_case(n, {"n": n, "delta": delta}, outputs, margin, bad))
         if bad:
             violations.append({"case_id": n, "excess": excess, "value_gap": gap})
 
@@ -390,15 +372,8 @@ def run_convergence_study(
         columns["d_bernstein"].append(d_b)
         columns["d_kantorovich"].append(d_k)
         columns["norm_gap"].append(gap)
-        records.append(
-            {
-                "case_id": idx,
-                "inputs": {"n": n},
-                "outputs": {"n": n, "d_bernstein": d_b, "d_kantorovich": d_k, "norm_gap": gap},
-                "margin": 0.0,
-                "violation": False,
-            }
-        )
+        outputs = {"n": n, "d_bernstein": d_b, "d_kantorovich": d_k, "norm_gap": gap}
+        records.append(_case(idx, {"n": n}, outputs, 0.0, False))
 
     trend: Dict[str, dict] = {}
     for name, values in columns.items():
@@ -446,15 +421,9 @@ def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
         max_diff = max(max_diff, diff)
         margin = 1e-9 - diff
         bad = diff > 1e-9
-        records.append(
-            {
-                "case_id": index,
-                "inputs": {"seed": cseed, "family": name, "points": [[x, y] for x, y in f.breakpoints]},
-                "outputs": {"exact": exact, "oracle": oracle, "abs_diff": diff},
-                "margin": margin,
-                "violation": bad,
-            }
-        )
+        inputs = {"seed": cseed, "family": name, "points": [[x, y] for x, y in f.breakpoints]}
+        outputs = {"exact": exact, "oracle": oracle, "abs_diff": diff}
+        records.append(_case(index, inputs, outputs, margin, bad))
         if bad:
             violations.append({"case_id": index, "family": name, "abs_diff": diff})
 
@@ -477,13 +446,8 @@ def check_continuity_set(f: StepFunction, seq: LambdaSequence) -> ExperimentRepo
     diff = abs(full - restricted)
     margin = 1e-9 - diff
     bad = diff > 1e-9
-    record = {
-        "case_id": 0,
-        "inputs": {"function": f.to_json()},
-        "outputs": {"full": full, "on_continuity_set": restricted, "abs_diff": diff},
-        "margin": margin,
-        "violation": bad,
-    }
+    outputs = {"full": full, "on_continuity_set": restricted, "abs_diff": diff}
+    record = _case(0, {"function": f.to_json()}, outputs, margin, bad)
     violations = [{"case_id": 0, "abs_diff": diff}] if bad else []
     summary = {"abs_diff": diff, "violation_count": len(violations)}
     config = {"function": f.to_json(), "lambda": seq.to_json()}

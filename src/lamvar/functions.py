@@ -3,11 +3,12 @@
 Four exactly-representable classes: piecewise-linear functions, step functions
 with explicit values at their jump points, polynomials in the Bernstein basis
 (optionally restricted to a subinterval), and piecewise collections of the
-latter.  Polynomial evaluation, restriction and splitting go through de
-Casteljau recurrences only; coefficients are never converted to the monomial
-basis.  Degree elevation runs one vectorized step per degree and reproduces
-the scalar recurrence bit for bit.  Extrema are isolated by depth-first
-subdivision driven by coefficient sign certificates, then refined by bisection.
+latter.  Polynomial evaluation, restriction and splitting all go through one
+de Casteljau kernel, ``_dc_split`` (a value is the last coefficient of the
+left half); coefficients are never converted to the monomial basis.  Degree
+elevation runs one vectorized step per degree and reproduces the scalar
+recurrence bit for bit.  Extrema are isolated by depth-first subdivision driven
+by coefficient sign certificates, then refined by bisection.
 
 Evaluation identities hold to 1e-12.  Root positions are resolved to
 ``MERGE_TOL`` (1e-12), the distance at which critical points merge.
@@ -26,9 +27,10 @@ from .errors import DomainError, InvalidInputError, ResourceError, _check_positi
 
 EVAL_TOL = 1e-12
 
-# Degree above which _dc_eval and _dc_split run on numpy arrays (nothing else
-# forks).  One split costs 9 us (list) vs 48 us (arrays) at degree 12 and 34 ms
-# vs 2.8 ms at degree 1024 (Python 3.11, 2-core Xeon); diminish and converge need
+# Degree above which _dc_split, the one de Casteljau kernel (evaluation reads
+# its last left-edge coefficient), runs on numpy arrays; nothing else forks.
+# One split costs 12 us (list) vs 45 us (arrays) at degree 12 and 38 ms vs
+# 4.8 ms at degree 1023 (Python 3.11, 2-core Xeon); diminish and converge need
 # both.  Elevation, which only subtract calls, is on arrays at every degree: in
 # a converge benchmark round that costs ~10 ms at degrees 4 and 16, saves ~5 s at 1024.
 _NUMPY_CUTOVER = 48
@@ -44,11 +46,6 @@ TAG_ROOT = "isolated-root"
 TAG_REPRESENTATIVE = "piece-representative"
 
 _TAG_ORDER = {TAG_ENDPOINT: 0, TAG_BREAKPOINT: 1, TAG_ROOT: 2, TAG_REPRESENTATIVE: 3}
-
-
-def _evaluator(f):
-    """The callable x -> f(x) of a function model or of a plain callable."""
-    return f.eval if hasattr(f, "eval") else f
 
 
 def _require_finite(values: Sequence[float], field: str) -> None:
@@ -220,24 +217,7 @@ class StepFunction:
         return f"StepFunction({len(self.cuts)} cuts)"
 
 
-# -- de Casteljau kernels -------------------------------------------------
-
-
-def _dc_eval(coeffs: Sequence[float], t: float) -> float:
-    n = len(coeffs) - 1
-    if n == 0:
-        return coeffs[0]
-    s = 1.0 - t
-    if n > _NUMPY_CUTOVER:
-        w = np.asarray(coeffs, dtype=np.float64)
-        for _ in range(n):
-            w = s * w[:-1] + t * w[1:]
-        return float(w[0])
-    w = list(coeffs)
-    for m in range(n, 0, -1):
-        for i in range(m):
-            w[i] = s * w[i] + t * w[i + 1]
-    return w[0]
+# -- de Casteljau kernel --------------------------------------------------
 
 
 def _dc_split(coeffs: Sequence[float], t: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
@@ -304,7 +284,7 @@ class BernsteinPoly:
         return min(1.0, max(0.0, t))
 
     def eval(self, x: float) -> float:
-        return _dc_eval(self.coeffs, self._local(x))
+        return _dc_split(self.coeffs, self._local(x))[0][-1]
 
     __call__ = eval
 
@@ -447,7 +427,7 @@ def _sign_change_params(dcoeffs: Sequence[float], tol: float) -> List[float]:
     def refine(lo: float, hi: float, sign_left: int) -> float:
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            v = _dc_eval(dcoeffs, mid)
+            v = _dc_split(dcoeffs, mid)[0][-1]
             s = +1 if v > zcut else (-1 if v < -zcut else 0)
             if s == 0:
                 return mid

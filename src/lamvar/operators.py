@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 
 from .errors import InvalidInputError, ResourceError, _check_positive_int
-from .functions import BernsteinPoly, PiecewiseLinear, _evaluator, isolate_extrema
+from .functions import BernsteinPoly, PiecewiseLinear, isolate_extrema
 
 
 class Monotonicity(enum.Enum):
@@ -36,8 +36,7 @@ def _check_degree(n) -> None:
 def bernstein_of(f, n: int) -> BernsteinPoly:
     """Degree-n Bernstein polynomial of f; coefficients are the node samples."""
     _check_degree(n)
-    value = _evaluator(f)
-    return BernsteinPoly(tuple(value(k / n) for k in range(n + 1)))
+    return BernsteinPoly(tuple(f.eval(k / n) for k in range(n + 1)))
 
 
 def kantorovich_of(f, n: int) -> BernsteinPoly:

@@ -1,8 +1,11 @@
 """Deterministic JSON input/output.
 
-Output uses a hand-rolled recursive formatter so every float prints with 17
-significant digits and dict fields keep insertion order; the stdlib encoder
-cannot override float repr without global monkey-patching.  Input helpers turn
+Output uses a hand-rolled formatter so every float prints with 17 significant
+digits and dict fields keep insertion order; the stdlib encoder cannot override
+float repr without global monkey-patching.  ``dumps`` makes one call to the
+private ``_dump``, which recurses on its own and returns each value's text, so
+one document is one ``dumps`` call even when ``dumps`` is wrapped from outside
+(as ``perfbench/tracing.py`` does to count calls and bytes).  Input helpers turn
 the documented function and weight-sequence schemas into model objects, with
 error messages that name the offending field path.
 """
@@ -32,53 +35,34 @@ def format_float(x: float) -> str:
 
 def dumps(obj, indent: Optional[int] = None) -> str:
     """Serialize dicts/lists/scalars; floats at 17 significant digits."""
-    pieces: list = []
-    _emit(obj, pieces, indent, 0)
-    return "".join(pieces)
+    return _dump(obj, indent, 0)
 
 
-def _emit(obj, out: list, indent: Optional[int], level: int) -> None:
+def _dump(obj, indent: Optional[int], level: int) -> str:
     if obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else ("true" if obj else "false"))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, int):
-        out.append(repr(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        _emit_container(
-            obj.items(), out, indent, level, "{}",
-            lambda item, lvl: (out.append(json.dumps(str(item[0])) + ": "),
-                               _emit(item[1], out, indent, lvl)),
-        )
+        return "null" if obj is None else ("true" if obj else "false")
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, int):
+        return repr(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        braces = "{}"
+        items = [json.dumps(str(k)) + ": " + _dump(v, indent, level + 1) for k, v in obj.items()]
     elif isinstance(obj, (list, tuple)):
-        _emit_container(
-            obj, out, indent, level, "[]",
-            lambda item, lvl: _emit(item, out, indent, lvl),
-        )
+        braces = "[]"
+        items = [_dump(v, indent, level + 1) for v in obj]
     elif hasattr(obj, "to_json"):
-        _emit(obj.to_json(), out, indent, level)
+        return _dump(obj.to_json(), indent, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _emit_container(items, out: list, indent, level, braces, emit_item) -> None:
-    items = list(items)
     if not items:
-        out.append(braces)
-        return
-    out.append(braces[0])
-    inner = level + 1
-    for i, item in enumerate(items):
-        if i:
-            out.append("," if indent else ", ")
-        if indent:
-            out.append("\n" + " " * (indent * inner))
-        emit_item(item, inner)
-    if indent:
-        out.append("\n" + " " * (indent * level))
-    out.append(braces[1])
+        return braces
+    if not indent:
+        return braces[0] + ", ".join(items) + braces[1]
+    pad = "\n" + " " * (indent * (level + 1))
+    return braces[0] + pad + ("," + pad).join(items) + "\n" + " " * (indent * level) + braces[1]
 
 
 def _number(value, field: str) -> float:

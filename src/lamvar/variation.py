@@ -27,7 +27,7 @@ from .errors import (
     ResourceError,
     _check_positive_int,
 )
-from .functions import MERGE_TOL, PiecewiseLinear, _evaluator, critical_points, subtract
+from .functions import MERGE_TOL, PiecewiseLinear, critical_points, subtract
 from .lambda_seq import LambdaSequence
 
 #: Exact-solver cap on candidate points (subset search is exponential).
@@ -114,10 +114,9 @@ def sigma(f, system, seq: LambdaSequence) -> float:
     """Ordered weighted increment sum: position k is divided by term(k+1)."""
     if not isinstance(system, IntervalSystem):
         system = IntervalSystem(system)
-    value = _evaluator(f)
     total = 0.0
     for k, (a, b) in enumerate(system):
-        total += abs(value(b) - value(a)) / seq.term(k + 1)
+        total += abs(f.eval(b) - f.eval(a)) / seq.term(k + 1)
     return total
 
 
@@ -130,7 +129,10 @@ def best_assignment(values: Sequence[float], seq: LambdaSequence) -> float:
         if v < 0.0:
             raise InvalidInputError("values must be nonnegative", field=f"values[{i}]")
     order = sorted(range(len(vals)), key=lambda i: (-vals[i], i))
-    return sum(vals[i] / seq.term(rank + 1) for rank, i in enumerate(order))
+    total = 0.0  # not sum(): from CPython 3.12 it compensates, changing the bits
+    for rank, i in enumerate(order):
+        total += vals[i] / seq.term(rank + 1)
+    return total
 
 
 def _assignment_ranks(values: Sequence[float]) -> Tuple[int, ...]:
@@ -210,8 +212,7 @@ def _solve_over_points(f, seq: LambdaSequence, pts: Sequence[float]) -> Variatio
             f"{len(pts)} candidate points exceed the solver cap of "
             f"{SOLVER_POINT_CAP}; use grid_oracle for a lower bound"
         )
-    value = _evaluator(f)
-    vals = [value(x) for x in pts]
+    vals = list(map(f.eval, pts))
     w = _weights(seq, max(1, len(pts) - 1))
     best_val, sub = _subset_search(vals, w)
     if not math.isfinite(best_val):
@@ -258,9 +259,8 @@ def _best_over_permutations(diffs: Sequence[float], rank_terms: np.ndarray) -> f
 
     Row i of ``rank_terms`` holds the weights of one rank permutation; its sum
     divides each increment by its weight and adds the quotients left to right,
-    so each row does the IEEE operations of ``sum(d / seq.term(r) ...)`` in
-    the same order.  Bit-identical to that scalar sum on CPython <= 3.11; from
-    3.12 ``sum()`` of floats is compensated and may differ by a few ulp.
+    so each row does the IEEE operations of :func:`best_assignment`'s
+    left-to-right loop in the same order, bit for bit on every Python version.
     """
     sums = diffs[0] / rank_terms[:, 0]
     for j in range(1, len(diffs)):
@@ -281,8 +281,7 @@ def grid_oracle(f, seq: LambdaSequence, grid: Iterable[float]) -> float:
     n = len(pts)
     if n > ORACLE_POINT_CAP:
         raise ResourceError(f"grid of {n} points exceeds the oracle cap of {ORACLE_POINT_CAP}")
-    value = _evaluator(f)
-    vals = [value(x) for x in pts]
+    vals = list(map(f.eval, pts))
     verify = n <= 8
     terms = np.array([0.0] + [seq.term(r) for r in range(1, max(n, 2))])
     best = 0.0
@@ -476,6 +475,12 @@ def restricted_variation(f, seq: LambdaSequence, delta: float, resolution: int =
         raise DomainError(f"delta must lie in (0, 1], got {delta!r}")
     _check_positive_int(resolution, "resolution")
     base = set(critical_points(f).points)
+    if resolution >= RESTRICTED_CANDIDATE_CAP:
+        # checked before the grid is built; merging at MERGE_TOL leaves it over the cap
+        raise ResourceError(
+            f"the {resolution + 1} grid points of resolution {resolution} exceed the "
+            f"restricted-solver cap of {RESTRICTED_CANDIDATE_CAP}; lower the resolution"
+        )
     if isinstance(f, PiecewiseLinear):
         base.update(f.xs)
     cands = set(base)
@@ -490,8 +495,7 @@ def restricted_variation(f, seq: LambdaSequence, delta: float, resolution: int =
             f"{len(pts)} candidate points exceed the restricted-solver cap of "
             f"{RESTRICTED_CANDIDATE_CAP}; lower the resolution"
         )
-    value = _evaluator(f)
-    vals = [value(x) for x in pts]
+    vals = list(map(f.eval, pts))
     # the search's suffix bounds add increments: past the largest float they
     # turn to NaN, prune every branch and leave a wrong value
     if not math.isfinite(sum(abs(b - a) for a, b in zip(vals, vals[1:]))):
@@ -544,7 +548,7 @@ def tail_variation(f, seq: LambdaSequence, m: int) -> float:
 
 def lambda_norm(f, seq: LambdaSequence) -> float:
     """Variation plus |f(0)|; a norm on the space where the variation is finite."""
-    norm = lambda_variation(f, seq).value + abs(_evaluator(f)(0.0))
+    norm = lambda_variation(f, seq).value + abs(f.eval(0.0))
     if not math.isfinite(norm):
         raise InvalidInputError("the norm overflows", field="fn")
     return norm

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -186,6 +187,23 @@ def test_operator_degree_above_cap_exits_4(capsys, files):
         assert code == 4
         assert out == ""
         assert "degree cap of 65536" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["variation", "--fn", "identity", "--lambda", "lin", "--delta", "0.5",
+      "--resolution", "1000000000"],
+     "the 1000000001 grid points of resolution 1000000000 exceed the restricted-solver "
+     "cap of 512; lower the resolution"),
+    (["counterexample", "--lambda", "lin", "--nmax", "70000"],
+     "degree 65537 exceeds the degree cap of 65536"),
+], ids=["resolution", "counterexample-degree"])
+def test_resource_cap_trips_before_the_work(capsys, files, argv, message):
+    started = time.perf_counter()
+    code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+    assert time.perf_counter() - started < 2.0
+    assert code == 4
+    assert out == ""
+    assert message in err
 
 
 # -- campaigns -----------------------------------------------------------

@@ -59,11 +59,6 @@ def test_random_plf_monotone_flag():
         assert ys == sorted(ys)
 
 
-def test_random_plf_value_range():
-    f = random_plf(9, 4, value_range=(2.0, 3.0))
-    assert all(2.0 <= y <= 3.0 for _, y in f.breakpoints)
-
-
 def test_random_plf_rejects_bad_arguments():
     with pytest.raises(DomainError, match=r"\[2, 9\]"):
         random_plf(1, 1)
@@ -71,8 +66,6 @@ def test_random_plf_rejects_bad_arguments():
         random_plf(1, 10)
     with pytest.raises(DomainError, match="integer"):
         random_plf(1, 2.5)
-    with pytest.raises(DomainError, match="lo < hi"):
-        random_plf(1, 3, value_range=(1.0, 1.0))
 
 
 def test_family_sequence_representatives():

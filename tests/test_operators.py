@@ -13,10 +13,12 @@ from lamvar import (
     bernstein_of,
     kantorovich_aux,
     kantorovich_of,
+    lambda_variation,
     monotone_certificate,
     named_function,
     random_plf,
 )
+from lamvar.experiments import family_sequence
 
 
 def test_bernstein_coeffs_are_node_samples():
@@ -85,12 +87,18 @@ def test_kantorovich_means_against_quadrature():
 
 def test_kantorovich_factors_through_aux():
     rng = random.Random(10)
+    seqs = [family_sequence(name) for name in ("constant", "linear", "power", "nlog", "explicit")]
     for _ in range(10):
         f = random_plf(rng.randrange(2 ** 32), rng.randint(2, 8))
         n = rng.randint(1, 10)
         direct = kantorovich_of(f, n).coeffs
-        factored = bernstein_of(kantorovich_aux(f, n), n).coeffs
+        aux = kantorovich_aux(f, n)
+        factored = bernstein_of(aux, n).coeffs
         assert factored == pytest.approx(direct, abs=1e-12)
+        # the proof's step: each increment of aux averages increments of f
+        # taken at one common shift, so aux has no more variation than f
+        for seq in seqs:
+            assert lambda_variation(aux, seq).value <= lambda_variation(f, seq).value + 1e-12
 
 
 def test_kantorovich_mean_of_huge_values_stays_finite():

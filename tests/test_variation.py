@@ -19,6 +19,7 @@ from lamvar import (
     best_assignment,
     grid_oracle,
     bernstein_of,
+    kantorovich_of,
     lambda_distance,
     lambda_norm,
     lambda_variation,
@@ -108,6 +109,12 @@ def test_best_assignment_sorted_pairing():
     val = best_assignment([0.2, 0.9, 0.5], SEQ_N)
     assert val == pytest.approx(0.9 + 0.5 / 2 + 0.2 / 3, abs=1e-15)
     assert best_assignment([], SEQ_N) == 0.0
+
+
+def test_best_assignment_adds_left_to_right():
+    # each 1e-16 is lost against 1.0; a compensated sum() (Python 3.12+)
+    # keeps them and returns 1.0000000000000002
+    assert best_assignment([1.0, 1e-16, 1e-16], SEQ_1) == 1.0
 
 
 def test_best_assignment_matches_permutation_enumeration():
@@ -472,3 +479,18 @@ def test_restricted_variation_at_most_unrestricted(f, seq):
     value = lambda_variation(f, seq).value
     assert restricted_variation(f, seq, 1.0).value == pytest.approx(value, rel=1e-12, abs=1e-15)
     assert restricted_variation(f, seq, 0.5).value <= value * (1.0 + 1e-12) + 1e-15
+
+
+@PROPERTY
+@given(PLFS, SEQS, st.integers(1, 12), st.sampled_from([bernstein_of, kantorovich_of]))
+def test_operators_diminish_the_variation(f, seq, n, op):
+    # the paper's theorem: V(op_n f) <= V(f) for both operators and every degree
+    assert lambda_variation(op(f, n), seq).value <= lambda_variation(f, seq).value + 1e-9
+
+
+@PROPERTY
+@given(PLFS, SEQS)
+def test_tail_variation_nonincreasing(f, seq):
+    tails = [tail_variation(f, seq, m) for m in range(12)]
+    for m in range(11):
+        assert tails[m + 1] <= tails[m] + 1e-12
