@@ -26,7 +26,6 @@ from .variation import (
     lambda_variation,
     lambda_variation_on_set,
     grid_oracle,
-    sigma,
 )
 
 _CSV_HEADER = "case_id,inputs_digest,key_values,margin,violation"
@@ -190,7 +189,8 @@ def run_diminish_campaign(
     image polynomial on its own critical set.  margin = V(f) - V(op_n f);
     a margin below -DIMINISH_TOLERANCE is a violation.  Functions have 2 to
     DIMINISH_MAX_BREAKPOINTS breakpoints.  Solver resource errors skip the
-    case and are counted, not fatal.
+    whole case, margins and violations included, and are counted, not fatal.
+    A degree above the degree cap is refused before the first case.
     """
     cases = _check_positive_int(cases, "cases")
     n_max = _check_positive_int(n_max, "n_max")
@@ -198,6 +198,7 @@ def run_diminish_campaign(
     seqs = [(name, family_sequence(name)) for name in lambda_families]
     if not seqs:
         raise DomainError("lambda_families must not be empty")
+    _check_degree(n_max)
 
     config = {
         "seed": seed,
@@ -221,33 +222,27 @@ def run_diminish_campaign(
         inputs = {"seed": cseed, "points": [[x, y] for x, y in f.breakpoints]}
         try:
             base = {name: lambda_variation(f, seq).value for name, seq in seqs}
-            worst = None
+            margins = []  # (margin, op, n, family) in loop order
             for n in range(1, n_max + 1):
                 for op_name, op in ops:
                     p = op(f, n)
                     pts = critical_points(p).points
                     for name, seq in seqs:
                         margin = base[name] - lambda_variation_on_set(p, seq, pts).value
-                        if worst is None or margin < worst[0]:
-                            worst = (margin, op_name, n, name)
-                        if margin < -DIMINISH_TOLERANCE:
-                            violations.append(
-                                {
-                                    "case_id": index,
-                                    "op": op_name,
-                                    "n": n,
-                                    "family": name,
-                                    "margin": margin,
-                                }
-                            )
+                        margins.append((margin, op_name, n, name))
         except ResourceError as exc:
             skipped += 1
             records.append(_skipped(index, inputs, exc))
             continue
-        margin, op_name, n, name = worst
+        margin, op_name, n, name = min(margins, key=lambda entry: entry[0])
         min_margin = min(min_margin, margin)
         outputs = {"min_margin": margin, "worst_op": op_name, "worst_n": n, "worst_family": name}
         records.append(_case(index, inputs, outputs, margin, margin < -DIMINISH_TOLERANCE))
+        for margin, op_name, n, name in margins:
+            if margin < -DIMINISH_TOLERANCE:
+                violations.append(
+                    {"case_id": index, "op": op_name, "n": n, "family": name, "margin": margin}
+                )
 
     summary = {
         "cases": cases,
@@ -289,7 +284,6 @@ def run_counterexample(
     baseline = abs(f_at_delta - f.eval(0.0)) / seq.term(1) + abs(
         f.eval(1.0) - f_at_delta
     ) / seq.term(2)
-    system = ((0.0, delta), (delta, 1.0))
 
     config = {
         "lambda": seq.to_json(),
@@ -304,9 +298,10 @@ def run_counterexample(
 
     for n in ns:
         p = bernstein_of(f, n)
-        lower = sigma(p, system, seq)
-        excess = lower - baseline
         value = p.eval(delta)
+        # p(0) and p(1) are its end coefficients
+        lower = abs(value - p.coeffs[0]) / seq.term(1) + abs(p.coeffs[-1] - value) / seq.term(2)
+        excess = lower - baseline
         gap = value - f_at_delta
         min_excess = min(min_excess, excess)
         min_gap = min(min_gap, gap)
@@ -358,7 +353,6 @@ def run_convergence_study(
     }
     records: List[dict] = []
     violations: List[dict] = []
-    columns: Dict[str, List[float]] = {"d_bernstein": [], "d_kantorovich": [], "norm_gap": []}
 
     for idx, n in enumerate(ns):
         try:
@@ -369,14 +363,13 @@ def run_convergence_study(
         except ResourceError as exc:
             records.append(_skipped(idx, {"n": n}, exc))
             continue
-        columns["d_bernstein"].append(d_b)
-        columns["d_kantorovich"].append(d_k)
-        columns["norm_gap"].append(gap)
         outputs = {"n": n, "d_bernstein": d_b, "d_kantorovich": d_k, "norm_gap": gap}
         records.append(_case(idx, {"n": n}, outputs, 0.0, False))
 
+    rows = [rec["outputs"] for rec in records if "skipped" not in rec["outputs"]]
     trend: Dict[str, dict] = {}
-    for name, values in columns.items():
+    for name in ("d_bernstein", "d_kantorovich", "norm_gap"):
+        values = [row[name] for row in rows]
         if len(values) < 2:
             trend[name] = {"checked": False}
             continue

@@ -415,10 +415,7 @@ def _sign_change_params(dcoeffs: Sequence[float], tol: float) -> List[float]:
     sign.  Touch points (no sign change) are excluded: a reported root needs a
     sign-certified panel on each side, with opposite signs.
     """
-    dscale = max(abs(c) for c in dcoeffs)
-    if dscale == 0.0:
-        return []
-    zcut = 1e-12 * max(1.0, dscale)
+    zcut = 1e-12 * max(1.0, max(abs(c) for c in dcoeffs))
     roots: List[float] = []
     budget = _MAX_PANELS
     prev_sign = 0  # sign of the last certified panel; 0 before the first
@@ -530,10 +527,9 @@ def _(f: PiecewisePolynomial) -> CriticalSet:
     for piece in f.pieces:
         if piece.a != 0.0:
             entries.append((piece.a, TAG_BREAKPOINT))
-        inner = isolate_extrema(piece)
-        for x, tag in zip(inner.points, inner.tags):
-            if tag == TAG_ROOT:
-                entries.append((x, TAG_ROOT))
+        # the first and last points stand for the piece's ends (a root within
+        # MERGE_TOL of an end has merged into it); the roots lie between them
+        entries.extend((x, TAG_ROOT) for x in isolate_extrema(piece).points[1:-1])
     return CriticalSet(entries)
 
 

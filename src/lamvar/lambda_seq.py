@@ -229,8 +229,6 @@ class LambdaSequence:
     def reciprocal_sum(self, count: int) -> float:
         """Sum of 1/term(i) for i = 1..count, added left to right over
         ``terms(count)``."""
-        if count < 1:
-            raise DomainError(f"count must be >= 1, got {count}")
         if count + self._shift > PREFIX_BUDGET:
             raise ResourceError(
                 f"reciprocal sum over {count} terms exceeds the "

@@ -330,29 +330,21 @@ def _restricted_search(
     does not depend on how many weight ranks the prefix already consumed.
     """
     n = len(points)
-    if n < 2:
-        return 0.0, ()
-    eps = 1e-12
-    jmax = [0] * n
-    j = 0
-    for i in range(n):
-        if j < i:
-            j = i
-        while j + 1 < n and points[j + 1] - points[i] <= delta + eps:
-            j += 1
-        jmax[i] = j
-    # Pareto children: increments must strictly increase with interval length
+    # Pareto children: increments must strictly increase with interval length,
+    # so the scan lists them by increment ascending; branch largest first
     children: List[List[Tuple[float, int]]] = []
     for i in range(n):
         vi = values[i]
         record = 0.0
         kids: List[Tuple[float, int]] = []
-        for jj in range(i + 1, jmax[i] + 1):
+        for jj in range(i + 1, n):
+            if points[jj] - points[i] > delta + MERGE_TOL:
+                break
             d = abs(values[jj] - vi)
             if d > record:
                 kids.append((d, jj))
                 record = d
-        kids.sort(key=lambda kid: (-kid[0], kid[1]))
+        kids.reverse()
         children.append(kids)
     # cap[i][j]: best unweighted sum over disjoint admissible systems of at
     # most j intervals within points[i:]
@@ -375,27 +367,22 @@ def _restricted_search(
     def score(diffs_desc: Sequence[float]) -> float:
         s = 0.0
         for i, d in enumerate(diffs_desc):
-            if i >= nw:
-                break
             s += d * w[i]
         return s
 
     def bound(diffs_desc: List[float], i: int) -> float:
-        g = gains[i]
+        g = gains[i]  # len(g) == nw: a gain is left at every rank
         la = len(diffs_desc)
-        lb = len(g)
         s = 0.0
         a = 0
         b = 0
         for r in range(nw):
-            if a < la and (b >= lb or diffs_desc[a] >= g[b]):
+            if a < la and diffs_desc[a] >= g[b]:
                 v = diffs_desc[a]
                 a += 1
-            elif b < lb:
+            else:
                 v = g[b]
                 b += 1
-            else:
-                break
             if v <= 0.0:
                 break
             s += v * w[r]
@@ -474,15 +461,14 @@ def restricted_variation(f, seq: LambdaSequence, delta: float, resolution: int =
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"delta must lie in (0, 1], got {delta!r}")
     _check_positive_int(resolution, "resolution")
-    base = set(critical_points(f).points)
+    # a piecewise-linear function's critical points are among its breakpoints
+    base = set(f.xs if isinstance(f, PiecewiseLinear) else critical_points(f).points)
     if resolution >= RESTRICTED_CANDIDATE_CAP:
         # checked before the grid is built; merging at MERGE_TOL leaves it over the cap
         raise ResourceError(
             f"the {resolution + 1} grid points of resolution {resolution} exceed the "
             f"restricted-solver cap of {RESTRICTED_CANDIDATE_CAP}; lower the resolution"
         )
-    if isinstance(f, PiecewiseLinear):
-        base.update(f.xs)
     cands = set(base)
     cands.update(i / resolution for i in range(resolution + 1))
     for x in base:

@@ -7,7 +7,10 @@ import time
 
 import pytest
 
+import lamvar.variation
+from lamvar import LambdaSequence, PropertyViolationError, named_function
 from lamvar.cli import main
+from lamvar.variation import IntervalSystem, VariationResult, wiener_profile
 
 
 @pytest.fixture()
@@ -28,6 +31,7 @@ def files(tmp_path):
         })),
         "const": write("const.json", '{"family": "constant", "params": {"c": 1}}'),
         "lin": write("lin.json", '{"family": "linear", "params": {"a": 1, "b": 0}}'),
+        "tiny": write("tiny.json", '{"family": "constant", "params": {"c": 1e-309}}'),
         "bad": write("bad.json", '{"type": "plf", "points": [[0, 0], [1]]}'),
         "nan_plf": write("nan_plf.json",
                          '{"type": "plf", "points": [[0, NaN], [0.5, 1], [1, 0]]}'),
@@ -110,15 +114,18 @@ def test_non_finite_input_exits_2(capsys, files, argv, field):
          "fn: the variation overflows"),
         (["variation", "--fn", "tall_plf", "--lambda", "const", "--delta", "0.5"],
          "fn: the variation overflows"),
+        (["variation", "--fn", "hat", "--lambda", "tiny", "--delta", "0.5"],
+         "fn: the variation overflows"),
         (["converge", "--fn", "high_plf", "--lambda", "lin", "--schedule", "1,2"],
          "fn: the norm overflows"),
     ],
     ids=["bernstein-derivative", "plf-increment", "variation", "restricted-variation",
-         "converge-norm"],
+         "restricted-weights", "converge-norm"],
 )
 def test_overflow_exits_2(capsys, files, argv, message):
     # before these checks the first input printed an "exact" 0 and the others
-    # died in a traceback while printing infinity
+    # died in a traceback while printing infinity; with the weight 1e-309 the
+    # increments are finite but each quotient by it is not
     code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
     assert code == 2
     assert out == ""
@@ -196,7 +203,9 @@ def test_operator_degree_above_cap_exits_4(capsys, files):
      "cap of 512; lower the resolution"),
     (["counterexample", "--lambda", "lin", "--nmax", "70000"],
      "degree 65537 exceeds the degree cap of 65536"),
-], ids=["resolution", "counterexample-degree"])
+    (["diminish", "--nmax", "70000"],
+     "degree 70000 exceeds the degree cap of 65536"),
+], ids=["resolution", "counterexample-degree", "diminish-degree"])
 def test_resource_cap_trips_before_the_work(capsys, files, argv, message):
     started = time.perf_counter()
     code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
@@ -284,6 +293,21 @@ def test_wiener_profile_cli(capsys, files):
     prof = json.loads(out)["profile"]
     assert prof[0] == [0.5, 0.75]
     assert prof[1][1] == pytest.approx(0.5208333333333333, abs=1e-12)
+
+
+def test_wiener_increasing_profile_exits_3(monkeypatch, capsys, files):
+    # a stand-in solver whose value grows as delta shrinks trips the guard
+    def growing(f, seq, delta, resolution):
+        return VariationResult(1.0 - delta, IntervalSystem([]), (), "exact")
+
+    monkeypatch.setattr(lamvar.variation, "restricted_variation", growing)
+    with pytest.raises(PropertyViolationError, match="increased from delta=0.5 to delta=0.25"):
+        wiener_profile(named_function("hat"), LambdaSequence.linear(), [0.5, 0.25])
+    code, out, err = run(capsys, ["wiener", "--fn", files["hat"], "--lambda",
+                                  files["lin"], "--deltas", "0.5,0.25"])
+    assert code == 3
+    assert out == ""
+    assert "restricted variation increased" in err
 
 
 def test_wiener_increasing_deltas_exit_2(capsys, files):

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from lamvar.errors import DomainError
+import lamvar.experiments
+import lamvar.variation
+from lamvar.errors import DomainError, ResourceError
 from lamvar.experiments import (
     check_continuity_set,
     family_sequence,
@@ -25,7 +27,7 @@ from lamvar.functions import (
 )
 from lamvar.lambda_seq import LambdaSequence
 from lamvar.serialize import dumps
-from lamvar.variation import lambda_variation, lambda_variation_on_set
+from lamvar.variation import grid_oracle, lambda_variation, lambda_variation_on_set
 from lamvar.operators import bernstein_of, kantorovich_of
 
 
@@ -291,3 +293,90 @@ def test_continuity_set_matches_full_variation():
 def test_continuity_set_rejects_non_step():
     with pytest.raises(DomainError, match="step"):
         check_continuity_set(named_function("hat"), LambdaSequence.constant(1.0))
+
+
+# -- each campaign can report what it exists to report --------------------
+
+def _tripled_bernstein(f, n):
+    """A stand-in operator that triples every variation it touches."""
+    return BernsteinPoly([3.0 * c for c in bernstein_of(f, n).coeffs])
+
+
+def test_diminish_reports_violations(monkeypatch):
+    monkeypatch.setattr(lamvar.experiments, "bernstein_of", _tripled_bernstein)
+    rep = run_diminish_campaign(seed=1, cases=3, n_max=4, operators="bernstein",
+                                lambda_families=("constant", "linear"))
+    assert not rep.ok
+    assert rep.summary["violation_count"] == len(rep.violations) == 2
+    assert [rec["violation"] for rec in rep.cases] == [False, False, True]
+    bad = rep.cases[2]
+    assert [v["case_id"] for v in rep.violations] == [2, 2]
+    assert all(set(v) == {"case_id", "op", "n", "family", "margin"} for v in rep.violations)
+    # the record's worst entry is the case's smallest margin
+    assert bad["margin"] == min(v["margin"] for v in rep.violations) < -1e-9
+    assert bad["outputs"]["worst_n"] in {v["n"] for v in rep.violations}
+    assert rep.summary["min_margin"] == bad["margin"]
+
+
+def test_diminish_reports_skips(monkeypatch):
+    monkeypatch.setattr(lamvar.variation, "SOLVER_POINT_CAP", 2)
+    rep = run_diminish_campaign(seed=1, cases=4, n_max=2)
+    assert rep.ok
+    assert rep.summary["skipped"] == 4
+    for rec in rep.cases:
+        assert rec["outputs"]["skipped"] is True
+        assert "exceed the solver cap of 2" in rec["outputs"]["reason"]
+        assert rec["violation"] is False
+
+
+def test_diminish_skipped_case_keeps_no_violations(monkeypatch):
+    # violates at n = 1, then hits a cap at n = 2: the whole case is skipped,
+    # so none of its margins may stand as a violation
+    def flaky(f, n):
+        if n == 2:
+            raise ResourceError("stand-in cap")
+        return BernsteinPoly([0.0, 100.0])  # far more variation than any input
+
+    monkeypatch.setattr(lamvar.experiments, "bernstein_of", flaky)
+    rep = run_diminish_campaign(seed=1, cases=3, n_max=2, operators="bernstein")
+    assert rep.violations == []
+    assert rep.ok
+    assert rep.summary["skipped"] == 3
+    assert all(rec["outputs"] == {"skipped": True, "reason": "stand-in cap"} for rec in rep.cases)
+
+
+def test_counterexample_reports_a_flat_image(monkeypatch):
+    monkeypatch.setattr(lamvar.experiments, "bernstein_of",
+                        lambda f, n: BernsteinPoly([0.0] * (n + 1)))
+    rep = run_counterexample(LambdaSequence.linear(1.0, 0.0), n_values=(1, 2))
+    assert not rep.ok
+    assert [v["case_id"] for v in rep.violations] == [1, 2]
+    for rec in rep.cases:
+        assert rec["violation"] is True
+        assert rec["outputs"]["sigma_lower_bound"] == 0.0
+        assert rec["outputs"]["excess"] == -rep.summary["baseline"]
+
+
+def test_oracle_crosscheck_reports_a_disagreement(monkeypatch):
+    monkeypatch.setattr(lamvar.experiments, "grid_oracle",
+                        lambda f, seq, grid: grid_oracle(f, seq, grid) + 1.0)
+    rep = run_oracle_crosscheck(seed=7, cases=3)
+    assert not rep.ok
+    assert [v["case_id"] for v in rep.violations] == [0, 1, 2]
+    for rec in rep.cases:
+        assert rec["violation"] is True
+        assert rec["margin"] < 0.0
+        assert rec["outputs"]["abs_diff"] == pytest.approx(1.0)
+
+
+def test_convergence_skipped_row_leaves_trends_unchecked():
+    f = named_function("abs_mid")
+    rep = run_convergence_study(f, LambdaSequence.linear(1.0, 0.0), [4, 70000])
+    assert rep.ok
+    assert rep.cases[1]["inputs"] == {"n": 70000}
+    assert rep.cases[1]["outputs"] == {
+        "skipped": True, "reason": "degree 70000 exceeds the degree cap of 65536"
+    }
+    assert rep.summary["trend"] == {
+        name: {"checked": False} for name in ("d_bernstein", "d_kantorovich", "norm_gap")
+    }

@@ -336,6 +336,10 @@ def test_sign_change_params_bisects_wide_gap():
     # the uncertified gap between opposite panels is wider than the tolerance:
     # bisection lands on 0.375, where the gap midpoint would be 0.5
     assert _sign_change_params((-1.0, -0.5, 0.5, 0.0, 0.0, -0.5, 1.0), 0.25) == [0.375]
+    # the midpoint 0.5 keeps the left sign, so bisection moves its left end
+    assert _sign_change_params((-1.0, 1.0, -0.5, -0.5, 1.0), 0.25) == [0.625]
+    # the first bisection midpoint is a zero of the polynomial: it is the root
+    assert _sign_change_params((0.0, -0.5, 1.0, -1.0, 0.5, 0.0), 0.25) == [0.5]
 
 
 def _dc_grid(coeffs, ts):

@@ -133,6 +133,10 @@ def test_certificate_beyond_coefficient_test():
     # derivative touches zero at 1/2 without changing sign
     q = BernsteinPoly([0.0, 1.0, 0.0, 1.0])
     assert monotone_certificate(q) is Monotonicity.INCREASING
+    # the mirror image decreases; the end coefficients decide the direction
+    assert monotone_certificate(BernsteinPoly([1.0, 0.0, 1.0, 0.0])) is Monotonicity.DECREASING
+    # a derivative below the noise floor has no roots and equal ends: constant
+    assert monotone_certificate(BernsteinPoly([0.0, 1e-15, 0.0])) is Monotonicity.CONSTANT
 
 
 def test_certificate_random_monotone_plf():

@@ -402,6 +402,19 @@ def test_restricted_parameter_guards():
         restricted_variation(ident, SEQ_N, 0.5, resolution=0)
     with pytest.raises(ResourceError, match="cap"):
         restricted_variation(ident, SEQ_N, 0.5, resolution=4096)
+    # a small grid, but 300 breakpoints and their +-0.3 translates
+    rng = random.Random(5)
+    xs = [0.0] + sorted(rng.random() for _ in range(298)) + [1.0]
+    f = PiecewiseLinear([(x, rng.uniform(-1.0, 1.0)) for x in xs])
+    with pytest.raises(ResourceError, match="^727 candidate points exceed the "
+                       "restricted-solver cap of 512; lower the resolution$"):
+        restricted_variation(f, SEQ_N, 0.3, 8)
+
+
+def test_restricted_search_node_budget(monkeypatch):
+    monkeypatch.setattr(lamvar.variation, "_RESTRICTED_NODE_BUDGET", 5)
+    with pytest.raises(ResourceError, match="exceeded its node budget"):
+        restricted_variation(random_plf(3, 6), SEQ_N, 0.25, 16)
 
 
 def test_restricted_overflow_is_refused():
