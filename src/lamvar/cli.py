@@ -206,7 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "converge",
         help="operator distance table along a degree schedule",
-        description="CSV columns: case_id,inputs_digest,key_values,margin,violation",
+        description="CSV columns: case_id,inputs_digest,key_values,margin,violation.  The "
+        "verdict (last < first/2 per column, else exit 3) is a heuristic: it depends on the schedule.",
     )
     p.add_argument("--fn", required=True, help="function JSON file")
     p.add_argument("--lambda", dest="lam", required=True, help="weight-sequence JSON file")

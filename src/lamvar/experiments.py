@@ -211,8 +211,6 @@ def run_diminish_campaign(
     }
     records: List[dict] = []
     violations: List[dict] = []
-    min_margin = float("inf")
-    skipped = 0
 
     for index in range(cases):
         cseed = _case_seed(seed, index)
@@ -231,11 +229,9 @@ def run_diminish_campaign(
                         margin = base[name] - lambda_variation_on_set(p, seq, pts).value
                         margins.append((margin, op_name, n, name))
         except ResourceError as exc:
-            skipped += 1
             records.append(_skipped(index, inputs, exc))
             continue
         margin, op_name, n, name = min(margins, key=lambda entry: entry[0])
-        min_margin = min(min_margin, margin)
         outputs = {"min_margin": margin, "worst_op": op_name, "worst_n": n, "worst_family": name}
         records.append(_case(index, inputs, outputs, margin, margin < -DIMINISH_TOLERANCE))
         for margin, op_name, n, name in margins:
@@ -244,11 +240,12 @@ def run_diminish_campaign(
                     {"case_id": index, "op": op_name, "n": n, "family": name, "margin": margin}
                 )
 
+    solved = [rec["margin"] for rec in records if "skipped" not in rec["outputs"]]
     summary = {
         "cases": cases,
         "violation_count": len(violations),
-        "min_margin": min_margin if min_margin != float("inf") else 0.0,
-        "skipped": skipped,
+        "min_margin": min(solved, default=0.0),
+        "skipped": cases - len(solved),
     }
     return ExperimentReport("diminish", config, records, violations, summary)
 
@@ -293,8 +290,6 @@ def run_counterexample(
     }
     records: List[dict] = []
     violations: List[dict] = []
-    min_excess = float("inf")
-    min_gap = float("inf")
 
     for n in ns:
         p = bernstein_of(f, n)
@@ -303,8 +298,6 @@ def run_counterexample(
         lower = abs(value - p.coeffs[0]) / seq.term(1) + abs(p.coeffs[-1] - value) / seq.term(2)
         excess = lower - baseline
         gap = value - f_at_delta
-        min_excess = min(min_excess, excess)
-        min_gap = min(min_gap, gap)
         margin = min(excess, gap)
         bad = excess <= 0.0 or gap <= 0.0
         outputs = {
@@ -316,8 +309,8 @@ def run_counterexample(
 
     summary = {
         "baseline": baseline,
-        "min_excess": min_excess,
-        "min_value_gap": min_gap,
+        "min_excess": min(rec["outputs"]["excess"] for rec in records),
+        "min_value_gap": min(rec["outputs"]["value_gap"] for rec in records),
         "violation_count": len(violations),
     }
     return ExperimentReport("counterexample", config, records, violations, summary)
@@ -333,7 +326,9 @@ def run_convergence_study(
     Columns: d_bernstein(n) and d_kantorovich(n) are variation-norm distances
     from f; norm_gap(n) = |norm(B_n f) - norm(f)|.  The trend criterion per
     column is last < first / 2; a column whose first entry is already <= 1e-9
-    (exact reproduction) counts as converged.  Rows that exhaust a solver cap
+    (exact reproduction) counts as converged.  The criterion is a heuristic that
+    depends on the schedule (linear weights: random_plf(2, 8) fails it over
+    4..256 and passes over 4..1024).  Rows that exhaust a solver cap
     are recorded as skipped with the reason and excluded from the trend.
     """
     if not isinstance(f, PiecewiseLinear):
@@ -400,7 +395,6 @@ def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
     config = {"seed": seed, "cases": cases, "families": families}
     records: List[dict] = []
     violations: List[dict] = []
-    max_diff = 0.0
 
     for index in range(cases):
         cseed = _case_seed(seed, index)
@@ -411,7 +405,6 @@ def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
         exact = lambda_variation(f, seq).value
         oracle = grid_oracle(f, seq, critical_points(f).points)
         diff = abs(exact - oracle)
-        max_diff = max(max_diff, diff)
         margin = 1e-9 - diff
         bad = diff > 1e-9
         inputs = {"seed": cseed, "family": name, "points": [[x, y] for x, y in f.breakpoints]}
@@ -422,7 +415,7 @@ def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
 
     summary = {
         "cases": cases,
-        "max_abs_diff": max_diff,
+        "max_abs_diff": max(rec["outputs"]["abs_diff"] for rec in records),
         "violation_count": len(violations),
     }
     return ExperimentReport("oracle-check", config, records, violations, summary)

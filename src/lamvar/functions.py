@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, ResourceError, _check_positive_int
 
-EVAL_TOL = 1e-12
-
 # Degree above which _dc_split, the one de Casteljau kernel (evaluation reads
 # its last left-edge coefficient), runs on numpy arrays; nothing else forks.
 # One split costs 12 us (list) vs 45 us (arrays) at degree 12 and 38 ms vs
@@ -36,16 +34,15 @@ EVAL_TOL = 1e-12
 _NUMPY_CUTOVER = 48
 _MAX_PANELS = 20000
 # Points closer than this are one point: derivative roots are resolved to it,
-# critical sets and candidate lists merge at it, and interval endpoints may lie
-# this far outside [0, 1].
+# critical sets and candidate lists merge at it, polynomial arguments and
+# interval endpoints may lie this far outside their domains, and the pieces of a
+# piecewise polynomial agree to it (relative to their scale) at their seams.
 MERGE_TOL = 1e-12
 
 TAG_ENDPOINT = "endpoint"
 TAG_BREAKPOINT = "breakpoint"
 TAG_ROOT = "isolated-root"
 TAG_REPRESENTATIVE = "piece-representative"
-
-_TAG_ORDER = {TAG_ENDPOINT: 0, TAG_BREAKPOINT: 1, TAG_ROOT: 2, TAG_REPRESENTATIVE: 3}
 
 
 def _require_finite(values: Sequence[float], field: str) -> None:
@@ -58,6 +55,13 @@ def _require_finite(values: Sequence[float], field: str) -> None:
 def _check_unit_interval(x: float) -> None:
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"argument {x!r} lies outside [0, 1]")
+
+
+def _check_bounds(a: float, b: float) -> None:
+    _check_unit_interval(a)
+    _check_unit_interval(b)
+    if a > b:
+        raise DomainError(f"integration bounds out of order: {a} > {b}")
 
 
 class PiecewiseLinear:
@@ -109,10 +113,7 @@ class PiecewiseLinear:
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over [a, b] by trapezoids on each linear piece."""
-        _check_unit_interval(a)
-        _check_unit_interval(b)
-        if a > b:
-            raise DomainError(f"integration bounds out of order: {a} > {b}")
+        _check_bounds(a, b)
         total = 0.0
         for i in range(len(self.xs) - 1):
             lo = max(a, self.xs[i])
@@ -188,10 +189,7 @@ class StepFunction:
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over [a, b]; the cut points carry no measure."""
-        _check_unit_interval(a)
-        _check_unit_interval(b)
-        if a > b:
-            raise DomainError(f"integration bounds out of order: {a} > {b}")
+        _check_bounds(a, b)
         edges = (0.0,) + self.cuts + (1.0,)
         total = 0.0
         for i, v in enumerate(self.piece_values):
@@ -279,7 +277,7 @@ class BernsteinPoly:
 
     def _local(self, x: float) -> float:
         t = (x - self.a) / (self.b - self.a)
-        if t < -EVAL_TOL or t > 1.0 + EVAL_TOL:
+        if t < -MERGE_TOL or t > 1.0 + MERGE_TOL:
             raise DomainError(f"argument {x!r} lies outside [{self.a}, {self.b}]")
         return min(1.0, max(0.0, t))
 
@@ -357,7 +355,7 @@ class PiecewisePolynomial:
                     "pieces must share endpoints in order", field=f"pieces[{i}]"
                 )
             gap = abs(pieces[i].coeffs[0] - pieces[i - 1].coeffs[-1])
-            if gap > EVAL_TOL * scale:
+            if gap > MERGE_TOL * scale:
                 raise InvalidInputError(
                     f"pieces disagree by {gap:g} at x={pieces[i].a!r}",
                     field=f"pieces[{i}]",
@@ -377,19 +375,16 @@ class PiecewisePolynomial:
 
 
 class CriticalSet:
-    """Sorted, deduplicated points of varying monotonicity with source tags."""
+    """Sorted, deduplicated points of varying monotonicity with source tags; a
+    merged point keeps the tag of its first entry in (stable) position order."""
 
     __slots__ = ("points", "tags")
 
     def __init__(self, entries: Iterable[Tuple[float, str]]):
-        ordered = sorted(entries, key=lambda e: (e[0], _TAG_ORDER.get(e[1], 9)))
         points: List[float] = []
         tags: List[str] = []
-        for x, tag in ordered:
+        for x, tag in sorted(entries, key=lambda e: e[0]):
             if points and x - points[-1] <= MERGE_TOL:
-                # keep the higher-priority tag for coincident points
-                if _TAG_ORDER.get(tag, 9) < _TAG_ORDER.get(tags[-1], 9):
-                    tags[-1] = tag
                 continue
             points.append(x)
             tags.append(tag)

@@ -260,25 +260,5 @@ class LambdaSequence:
         shift = obj.get("shift", 0)
         return cls(family, params, shift)
 
-    def describe(self) -> str:
-        """Compact deterministic descriptor, used by ``repr``."""
-        p = self._params
-        if self._family == "constant":
-            core = f"constant(c={p['c']:g})"
-        elif self._family == "linear":
-            core = f"linear(a={p['a']:g},b={p['b']:g})"
-        elif self._family == "power":
-            core = f"power(p={p['p']:g})"
-        elif self._family == "nlog":
-            core = "nlog"
-        else:
-            head = ",".join(f"{v:g}" for v in p["prefix"][:4])
-            if len(p["prefix"]) > 4:
-                head += ",..."
-            core = f"explicit([{head}],a={p['tail']['a']:g},b={p['tail']['b']:g})"
-        if self._shift:
-            core += f"[shift={self._shift}]"
-        return core
-
     def __repr__(self) -> str:
-        return f"LambdaSequence({self.describe()})"
+        return f"LambdaSequence({self.to_json()!r})"

@@ -37,7 +37,7 @@ ORACLE_POINT_CAP = 16
 #: Restricted solver cap; its branch-and-bound uses a remaining-total-variation
 #: bound and handles far larger candidate sets than the subset solver.
 RESTRICTED_CANDIDATE_CAP = 512
-_RESTRICTED_NODE_BUDGET = 2_000_000
+_RESTRICTED_NODE_BUDGET = 40_000  # a stalled search exhausts it in 3-16 s (2 cores)
 
 
 class IntervalSystem:
@@ -128,19 +128,26 @@ def best_assignment(values: Sequence[float], seq: LambdaSequence) -> float:
     for i, v in enumerate(vals):
         if v < 0.0:
             raise InvalidInputError("values must be nonnegative", field=f"values[{i}]")
-    order = sorted(range(len(vals)), key=lambda i: (-vals[i], i))
     total = 0.0  # not sum(): from CPython 3.12 it compensates, changing the bits
-    for rank, i in enumerate(order):
+    for rank, i in enumerate(_rank_order(vals)):
         total += vals[i] / seq.term(rank + 1)
     return total
 
 
-def _assignment_ranks(values: Sequence[float]) -> Tuple[int, ...]:
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    ranks = [0] * len(values)
-    for rank, i in enumerate(order):
-        ranks[i] = rank + 1
-    return tuple(ranks)
+def _rank_order(values: Sequence[float]) -> List[int]:
+    """Indices by decreasing value, ties by index: position r gets weight rank r+1."""
+    return sorted(range(len(values)), key=lambda i: (-values[i], i))
+
+
+def _result(value: float, pairs: Sequence[Tuple[int, int]], pts, vals, method: str) -> VariationResult:
+    """The result whose witness joins the index pairs (a, b) of pts, in order."""
+    if not math.isfinite(value):
+        raise InvalidInputError("the variation overflows", field="fn")
+    ranks = [0] * len(pairs)
+    for rank, k in enumerate(_rank_order([abs(vals[b] - vals[a]) for a, b in pairs])):
+        ranks[k] = rank + 1
+    witness = IntervalSystem([(pts[a], pts[b]) for a, b in pairs])
+    return VariationResult(value, witness, ranks, method)
 
 
 def _weights(seq: LambdaSequence, count: int) -> List[float]:
@@ -215,11 +222,7 @@ def _solve_over_points(f, seq: LambdaSequence, pts: Sequence[float]) -> Variatio
     vals = list(map(f.eval, pts))
     w = _weights(seq, max(1, len(pts) - 1))
     best_val, sub = _subset_search(vals, w)
-    if not math.isfinite(best_val):
-        raise InvalidInputError("the variation overflows", field="fn")
-    diffs = [abs(vals[sub[i + 1]] - vals[sub[i]]) for i in range(len(sub) - 1)]
-    witness = IntervalSystem([(pts[sub[i]], pts[sub[i + 1]]) for i in range(len(sub) - 1)])
-    return VariationResult(best_val, witness, _assignment_ranks(diffs), "exact")
+    return _result(best_val, list(zip(sub, sub[1:])), pts, vals, "exact")
 
 
 def lambda_variation(f, seq: LambdaSequence) -> VariationResult:
@@ -488,14 +491,8 @@ def restricted_variation(f, seq: LambdaSequence, delta: float, resolution: int =
         raise InvalidInputError("the variation overflows", field="fn")
     w = _weights(seq, max(1, len(pts) - 1))
     best_val, chosen = _restricted_search(pts, vals, w, delta)
-    if not math.isfinite(best_val):
-        raise InvalidInputError("the variation overflows", field="fn")
-    diffs = [abs(vals[b] - vals[a]) for a, b in chosen]
-    witness = IntervalSystem([(pts[a], pts[b]) for a, b in chosen])
-    method = "grid-lower-bound"
-    if isinstance(f, PiecewiseLinear) and _chain_closure_holds(f, pts, delta):
-        method = "exact"
-    return VariationResult(best_val, witness, _assignment_ranks(diffs), method)
+    exact = isinstance(f, PiecewiseLinear) and _chain_closure_holds(f, pts, delta)
+    return _result(best_val, chosen, pts, vals, "exact" if exact else "grid-lower-bound")
 
 
 def wiener_profile(

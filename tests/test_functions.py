@@ -377,7 +377,7 @@ def test_critical_set_merges_coincident_points():
         [(0.5, "isolated-root"), (0.5 + 1e-13, "breakpoint"), (0.0, "endpoint"), (1.0, "endpoint")]
     )
     assert cs.points == (0.0, 0.5, 1.0)
-    assert cs.tags[1] == "breakpoint"
+    assert cs.tags[1] == "isolated-root"  # the first entry's tag
     assert len(cs) == 3
 
 

@@ -171,6 +171,15 @@ def test_budget_guard():
         seq.tail(5).reciprocal_sum(PREFIX_BUDGET - 4)
 
 
+def test_count_and_ratio_guards():
+    # reciprocal_sum has no count check of its own: terms() refuses an empty prefix
+    with pytest.raises(DomainError, match="count must be >= 1, got 0"):
+        LambdaSequence.linear().reciprocal_sum(0)
+    for n in (0, True):
+        with pytest.raises(DomainError, match="n must be a positive integer"):
+            LambdaSequence.linear().shao_sablin_ratio(n)
+
+
 def test_validation_field_paths():
     with pytest.raises(InvalidInputError, match="params.c"):
         LambdaSequence.constant(0.0)
@@ -215,5 +224,5 @@ def test_from_json_rejects_bad_schema():
 
 def test_describe_is_stable():
     seq = LambdaSequence.linear(1.0, 0.0).tail(2)
-    assert seq.describe() == LambdaSequence.from_json(seq.to_json()).describe()
-    assert "linear" in seq.describe()
+    assert repr(seq) == repr(LambdaSequence.from_json(seq.to_json()))
+    assert "linear" in repr(seq)
