@@ -15,6 +15,7 @@ from .functions import (
     StepFunction,
     critical_points,
     isolate_extrema,
+    isolate_extrema_many,
     named_function,
     subtract,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "critical_points",
     "grid_oracle",
     "isolate_extrema",
+    "isolate_extrema_many",
     "kantorovich_aux",
     "kantorovich_of",
     "lambda_distance",

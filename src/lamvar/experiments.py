@@ -15,14 +15,23 @@ import hashlib
 import random
 from typing import Dict, Iterable, List, Sequence
 
-from .errors import DomainError, ResourceError, _check_positive_int
-from .functions import PiecewiseLinear, StepFunction, critical_points, named_function
+from .errors import DomainError, InvalidInputError, ResourceError, _check_positive_int
+from .functions import (
+    PiecewiseLinear,
+    StepFunction,
+    _piecewise_critical_set,
+    _raised,
+    critical_points,
+    isolate_extrema_many,
+    named_function,
+    subtract,
+)
 from .lambda_seq import LambdaSequence
 from .operators import _check_degree, bernstein_of, kantorovich_of
 from .serialize import dumps, format_float
 from .variation import (
+    _norm_on_points,
     lambda_norm,
-    lambda_distance,
     lambda_variation,
     lambda_variation_on_set,
     grid_oracle,
@@ -175,6 +184,14 @@ def _skipped(case_id: int, inputs: dict, exc: ResourceError) -> dict:
     return _case(case_id, inputs, {"skipped": True, "reason": str(exc)}, 0.0, False)
 
 
+# Errors that staging carries to the point where the unstaged loop met them,
+# so a case or row is skipped (or the run fails) with the same reason.
+_CARRIED = (ResourceError, InvalidInputError)
+#: Diminish cases whose images are built, then isolated in one batch.  A larger
+#: block shares the subdivision levels among more images but holds them all.
+_DIMINISH_BLOCK = 10
+
+
 def run_diminish_campaign(
     seed: int = 42,
     cases: int = 500,
@@ -187,7 +204,9 @@ def run_diminish_campaign(
     Per case: draw f, compute its variation once per weight family, then for
     every (operator, degree, family) compare against the variation of the
     image polynomial on its own critical set.  margin = V(f) - V(op_n f);
-    a margin below -DIMINISH_TOLERANCE is a violation.  Functions have 2 to
+    a margin below -DIMINISH_TOLERANCE is a violation.  The images of
+    _DIMINISH_BLOCK cases are built first and their critical sets isolated
+    in one batch; the report does not depend on it.  Functions have 2 to
     DIMINISH_MAX_BREAKPOINTS breakpoints.  Solver resource errors skip the
     whole case, margins and violations included, and are counted, not fatal.
     A degree above the degree cap is refused before the first case.
@@ -212,33 +231,48 @@ def run_diminish_campaign(
     records: List[dict] = []
     violations: List[dict] = []
 
-    for index in range(cases):
-        cseed = _case_seed(seed, index)
-        rng = random.Random(cseed)
-        bc = rng.randint(2, DIMINISH_MAX_BREAKPOINTS)
-        f = random_plf(rng.randrange(2 ** 63), bc)
-        inputs = {"seed": cseed, "points": [[x, y] for x, y in f.breakpoints]}
-        try:
-            base = {name: lambda_variation(f, seq).value for name, seq in seqs}
-            margins = []  # (margin, op, n, family) in loop order
-            for n in range(1, n_max + 1):
-                for op_name, op in ops:
-                    p = op(f, n)
-                    pts = critical_points(p).points
+    steps = [(n, op_name, op) for n in range(1, n_max + 1) for op_name, op in ops]
+    for start in range(0, cases, _DIMINISH_BLOCK):
+        block = []
+        for index in range(start, min(cases, start + _DIMINISH_BLOCK)):
+            cseed = _case_seed(seed, index)
+            rng = random.Random(cseed)
+            bc = rng.randint(2, DIMINISH_MAX_BREAKPOINTS)
+            f = random_plf(rng.randrange(2 ** 63), bc)
+            inputs = {"seed": cseed, "points": [[x, y] for x, y in f.breakpoints]}
+            images, carried = [], None
+            try:
+                for n, _, op in steps:
+                    images.append(op(f, n))
+            except _CARRIED as exc:
+                carried = exc
+            block.append((index, f, inputs, images, carried))
+        crits = iter(isolate_extrema_many([p for case in block for p in case[3]]))
+        for index, f, inputs, images, carried in block:
+            sets = [next(crits) for _ in images]
+            try:
+                base = {name: lambda_variation(f, seq).value for name, seq in seqs}
+                margins = []  # (margin, op, n, family) in loop order
+                for k, (n, op_name, _) in enumerate(steps):
+                    if k == len(images):
+                        raise carried
+                    p, pts = images[k], _raised(sets[k]).points
                     for name, seq in seqs:
                         margin = base[name] - lambda_variation_on_set(p, seq, pts).value
                         margins.append((margin, op_name, n, name))
-        except ResourceError as exc:
-            records.append(_skipped(index, inputs, exc))
-            continue
-        margin, op_name, n, name = min(margins, key=lambda entry: entry[0])
-        outputs = {"min_margin": margin, "worst_op": op_name, "worst_n": n, "worst_family": name}
-        records.append(_case(index, inputs, outputs, margin, margin < -DIMINISH_TOLERANCE))
-        for margin, op_name, n, name in margins:
-            if margin < -DIMINISH_TOLERANCE:
-                violations.append(
-                    {"case_id": index, "op": op_name, "n": n, "family": name, "margin": margin}
-                )
+            except ResourceError as exc:
+                records.append(_skipped(index, inputs, exc))
+                continue
+            margin, op_name, n, name = min(margins, key=lambda entry: entry[0])
+            outputs = {
+                "min_margin": margin, "worst_op": op_name, "worst_n": n, "worst_family": name
+            }
+            records.append(_case(index, inputs, outputs, margin, margin < -DIMINISH_TOLERANCE))
+            for margin, op_name, n, name in margins:
+                if margin < -DIMINISH_TOLERANCE:
+                    violations.append(
+                        {"case_id": index, "op": op_name, "n": n, "family": name, "margin": margin}
+                    )
 
     solved = [rec["margin"] for rec in records if "skipped" not in rec["outputs"]]
     summary = {
@@ -329,7 +363,8 @@ def run_convergence_study(
     (exact reproduction) counts as converged.  The criterion is a heuristic that
     depends on the schedule (linear weights: random_plf(2, 8) fails it over
     4..256 and passes over 4..1024).  Rows that exhaust a solver cap
-    are recorded as skipped with the reason and excluded from the trend.
+    are recorded as skipped with the reason and excluded from the trend.  The
+    pieces of a row's differences and B_n f are isolated in one batch.
     """
     if not isinstance(f, PiecewiseLinear):
         raise DomainError("convergence study expects a piecewise-linear input")
@@ -350,11 +385,26 @@ def run_convergence_study(
     violations: List[dict] = []
 
     for idx, n in enumerate(ns):
+        operands: list = []  # B_n f, B_n f - f, K_n f - f, built in the unstaged order
+        carried = None
         try:
-            p = bernstein_of(f, n)
-            d_b = lambda_distance(p, f, seq)
-            d_k = lambda_distance(kantorovich_of(f, n), f, seq)
-            gap = abs(lambda_norm(p, seq) - norm_f)
+            operands.append(bernstein_of(f, n))
+            operands.append(subtract(operands[0], f))
+            operands.append(subtract(kantorovich_of(f, n), f))
+        except _CARRIED as exc:
+            carried = exc
+        sets = isolate_extrema_many([x for q in operands[1:] for x in q.pieces] + operands[:1])
+        try:
+            if len(operands) < 2:
+                raise carried
+            p, q_b = operands[:2]
+            split = len(q_b.pieces)
+            d_b = _norm_on_points(q_b, seq, _piecewise_critical_set(q_b, sets[:split]).points)
+            if len(operands) < 3:
+                raise carried
+            q_k = operands[2]
+            d_k = _norm_on_points(q_k, seq, _piecewise_critical_set(q_k, sets[split:-1]).points)
+            gap = abs(_norm_on_points(p, seq, _raised(sets[-1]).points) - norm_f)
         except ResourceError as exc:
             records.append(_skipped(idx, {"n": n}, exc))
             continue

@@ -7,8 +7,9 @@ latter.  Polynomial evaluation, restriction and splitting all go through one
 de Casteljau kernel, ``_dc_split`` (a value is the last coefficient of the
 left half); coefficients are never converted to the monomial basis.  Degree
 elevation runs one vectorized step per degree and reproduces the scalar
-recurrence bit for bit.  Extrema are isolated by depth-first subdivision driven
-by coefficient sign certificates, then refined by bisection.
+recurrence bit for bit.  Extrema are isolated by subdivision driven by
+coefficient sign certificates, then refined by bisection; the subdivision runs
+level by level over every polynomial of a batch at once.
 
 Evaluation identities hold to 1e-12.  Root positions are resolved to
 ``MERGE_TOL`` (1e-12), the distance at which critical points merge.
@@ -33,6 +34,9 @@ from .errors import DomainError, InvalidInputError, ResourceError, _check_positi
 # a converge benchmark round that costs ~10 ms at degrees 4 and 16, saves ~5 s at 1024.
 _NUMPY_CUTOVER = 48
 _MAX_PANELS = 20000
+# Coefficients that root isolation splits in one array step: 32 panels of a
+# degree-1024 derivative, so a wide level's scratch arrays stay ~256 KB each.
+_SPLIT_COEFFS = 32 * 1024
 # Points closer than this are one point: derivative roots are resolved to it,
 # critical sets and candidate lists merge at it, polynomial arguments and
 # interval endpoints may lie this far outside their domains, and the pieces of a
@@ -282,7 +286,14 @@ class BernsteinPoly:
         return min(1.0, max(0.0, t))
 
     def eval(self, x: float) -> float:
-        return _dc_split(self.coeffs, self._local(x))[0][-1]
+        t = self._local(x)
+        # At an end each kernel step adds a signed zero to the end coefficient,
+        # which leaves a nonzero one as it is; a zero one goes through the
+        # kernel, which turns -0.0 into +0.0 next to a positive neighbour.
+        end = self.coeffs[0] if t == 0.0 else self.coeffs[-1] if t == 1.0 else 0.0
+        if end != 0.0:
+            return end
+        return _dc_split(self.coeffs, t)[0][-1]
 
     __call__ = eval
 
@@ -405,53 +416,191 @@ class CriticalSet:
 # -- derivative sign analysis ---------------------------------------------
 
 
-def _sign_change_params(dcoeffs: Sequence[float], tol: float) -> List[float]:
-    """Parameters in (0,1) where the Bernstein-coefficient polynomial changes
-    sign.  Touch points (no sign change) are excluded: a reported root needs a
-    sign-certified panel on each side, with opposite signs.
+def _halve(c: np.ndarray, cols: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Both halves, at t = 1/2, of the columns cols of the coefficient-major
+    array c, returned as one array [left halves | right halves].  Column
+    cols[i] holds lens[i] coefficients; the NaN rows below them stay NaN.
+
+    At step j >= 1, row k >= j becomes ``0.5 * w[k - 1] + 0.5 * w[k]``: the
+    IEEE operations of _dc_split, so the halves agree with it bit for bit.  A
+    row never reads the rows below it, so columns of every length split
+    together.  Row j is final after step j and is the left half's coefficient
+    j; row lens - 1 after step j is the right half's coefficient lens - 1 - j.
+    Columns are split _SPLIT_COEFFS coefficients at a time, which bounds the
+    scratch arrays however wide the level is.
     """
-    zcut = 1e-12 * max(1.0, max(abs(c) for c in dcoeffs))
-    roots: List[float] = []
-    budget = _MAX_PANELS
-    prev_sign = 0  # sign of the last certified panel; 0 before the first
-    prev_hi = 0.0
+    m, s = len(c), cols.size
+    out = np.empty((m, 2 * s))
+    step = max(1, _SPLIT_COEFFS // m)
+    for a in range(0, s, step):
+        b = min(s, a + step)
+        w = c.take(cols[a:b], axis=1)
+        h = np.empty_like(w)
+        # diag[1 + j] is row lens - 1 after step j; diag[0] is NaN, read by
+        # the right halves' rows past their length
+        diag = np.empty((m + 1, b - a))
+        diag[0] = np.nan
+        at = (lens[a:b] - 1) * (b - a) + np.arange(b - a)
+        flat = w.reshape(-1)  # a view: take reads w's current rows
+        flat.take(at, out=diag[1])
+        for j in range(1, m):
+            np.multiply(w[j - 1 :], 0.5, out=h[j - 1 :])
+            np.add(h[j - 1 : -1], h[j:], out=w[j:])
+            flat.take(at, out=diag[1 + j])
+        out[:, a:b] = w
+        # right row i is diag[lens - i]; negative positions clip to NaN row 0
+        back = at + (b - a) - np.arange(m)[:, None] * (b - a)
+        out[:, s + a : s + b] = diag.reshape(-1).take(back, mode="clip")
+    return out
 
-    def refine(lo: float, hi: float, sign_left: int) -> float:
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            v = _dc_split(dcoeffs, mid)[0][-1]
-            s = +1 if v > zcut else (-1 if v < -zcut else 0)
-            if s == 0:
-                return mid
-            if s == sign_left:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
 
-    stack = [(0.0, 1.0, dcoeffs)]  # left halves pop first: panels arrive left to right
-    while stack:
+def _refine(
+    dcoeffs: Sequence[float], zcut: float, tol: float, lo: float, hi: float, sign_left: int
+) -> float:
+    """Bisect [lo, hi], whose left end has sign sign_left, down to the root."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        v = _dc_split(dcoeffs, mid)[0][-1]
+        s = +1 if v > zcut else (-1 if v < -zcut else 0)
+        if s == 0:
+            return mid
+        if s == sign_left:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _budget_error(dcoeffs: Sequence[float], zcut: float, tol: float) -> ResourceError:
+    """The error of a derivative whose subdivision visits more than
+    _MAX_PANELS panels.  It names the first panel past the budget in
+    depth-first pre-order, left halves first, whatever the batch."""
+    stack = [(0.0, 1.0, dcoeffs)]
+    for _ in range(_MAX_PANELS):
         lo, hi, c = stack.pop()
-        budget -= 1
-        if budget < 0:
-            raise ResourceError(
-                f"derivative sign analysis stalled on panel [{lo:.17g}, {hi:.17g}]"
-            )
-        nonneg = min(c) >= -zcut
-        nonpos = max(c) <= zcut
-        if nonneg and nonpos:
-            continue  # numerically flat, no certificate
-        if nonneg or nonpos:
-            sign = +1 if nonneg else -1
-            if prev_sign and sign != prev_sign:
-                # adjacent certified panels (lo == prev_hi) meet on the root
-                roots.append(refine(prev_hi, lo, prev_sign))
-            prev_sign, prev_hi = sign, hi
-        elif hi - lo > tol:  # narrower uncertified panels are dropped
+        if min(c) < -zcut and max(c) > zcut and hi - lo > tol:
             left, right = _dc_split(c, 0.5)
             mid = 0.5 * (lo + hi)
             stack += [(mid, hi, right), (lo, mid, left)]
-    return [r for r in roots if tol < r < 1.0 - tol]
+    lo, hi, _ = stack.pop()
+    return ResourceError(f"derivative sign analysis stalled on panel [{lo:.17g}, {hi:.17g}]")
+
+
+def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> List[object]:
+    """_sign_change_params of every (dcoeffs, tol) job: per job, its list of
+    parameters or the ResourceError it would raise.
+
+    Subdivision is level-synchronous.  The frontier is a coefficient-major
+    (coefficients, panels) array of every panel of one depth, of every job.
+    A panel whose coefficients are all >= -zcut or all <= zcut is certified
+    (or flat, if both); the other panels wider than their job's tol are split.
+    A panel's fate depends only on its own coefficients, zcut and tol, so each
+    job visits the panels the depth-first walk of it alone visits; its
+    certified panels, taken left to right, meet on the same roots.  A job
+    whose visited panels exceed _MAX_PANELS leaves the frontier.
+    """
+    k = len(jobs)
+    if not k:
+        return []
+    dcs = [dc for dc, _ in jobs]
+    tols = [t for _, t in jobs]
+    zcuts = [1e-12 * max(1.0, max(abs(x) for x in dc)) for dc in dcs]
+    lens = np.array([len(dc) for dc in dcs])
+    c = np.full((lens.max(), k), np.nan)  # a column's rows past its length are NaN
+    for i, dc in enumerate(dcs):
+        c[: len(dc), i] = dc
+    zcut, tol = np.array(zcuts), np.array(tols)
+    owner, lo, hi = np.arange(k), np.zeros(k), np.ones(k)
+    visited = np.zeros(k, dtype=np.int64)
+    certified = []  # per level: owner, lo, hi, positive
+    while owner.size:
+        visited += np.bincount(owner, minlength=k)
+        if visited.max() > _MAX_PANELS:
+            keep = visited[owner] <= _MAX_PANELS
+            c, owner, lo, hi = c[:, keep], owner[keep], lo[keep], hi[keep]
+        nonneg = np.fmin.reduce(c, axis=0) >= -zcut[owner]
+        nonpos = np.fmax.reduce(c, axis=0) <= zcut[owner]
+        sure = nonneg != nonpos
+        certified.append((owner[sure], lo[sure], hi[sure], nonneg[sure]))
+        cols = np.flatnonzero(~(nonneg | nonpos) & (hi - lo > tol[owner]))
+        c = _halve(c, cols, lens[owner[cols]])
+        owner, lo, hi = owner[cols], lo[cols], hi[cols]
+        mid = 0.5 * (lo + hi)
+        owner = np.concatenate((owner, owner))
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+
+    owner, lo, hi, positive = (np.concatenate(col) for col in zip(*certified))
+    order = np.lexsort((lo, owner))
+    owner, lo, hi, positive = owner[order], lo[order], hi[order], positive[order]
+    # a root lies between neighbouring certified panels of opposite signs
+    # (adjacent panels, lo == the previous hi, meet on it)
+    turns = np.flatnonzero((owner[1:] == owner[:-1]) & (positive[1:] != positive[:-1]))
+    roots: List[List[float]] = [[] for _ in range(k)]
+    for j, a, b, pos in zip(owner[turns].tolist(), hi[turns].tolist(), lo[turns + 1].tolist(),
+                            positive[turns].tolist()):
+        roots[j].append(_refine(dcs[j], zcuts[j], tols[j], a, b, 1 if pos else -1))
+    return [
+        _budget_error(dcs[j], zcuts[j], tols[j]) if visited[j] > _MAX_PANELS
+        else [r for r in roots[j] if tols[j] < r < 1.0 - tols[j]]
+        for j in range(k)
+    ]
+
+
+def _sign_change_params(dcoeffs: Sequence[float], tol: float) -> List[float]:
+    """Parameters in (0,1) where the Bernstein-coefficient polynomial changes
+    sign.  Touch points (no sign change) are excluded: a reported root needs a
+    sign-certified panel on each side, with opposite signs.  Uncertified panels
+    narrower than tol are dropped; a subdivision that visits more than
+    _MAX_PANELS panels raises ResourceError.
+    """
+    return _raised(_sign_change_params_many([(dcoeffs, tol)])[0])
+
+
+def _derivative_job(p: BernsteinPoly):
+    """(difference coefficients, local tolerance) of p's derivative, or None
+    when p is constant to within rounding noise."""
+    n = p.degree
+    if n < 1:
+        return None
+    dc = tuple(p.coeffs[k + 1] - p.coeffs[k] for k in range(n))
+    dmax = max(abs(c) for c in dc)
+    if dmax == math.inf:
+        raise InvalidInputError(
+            "differences of neighbouring coefficients overflow", field="coeffs"
+        )
+    cscale = max(1.0, max(abs(c) for c in p.coeffs))
+    # Derivative noise from O(n) convex combinations of O(cscale)
+    # coefficients is below this; treat such derivatives as identically 0.
+    if dmax <= n * 1e-12 * cscale:
+        return None
+    return dc, min(0.25, MERGE_TOL / (p.b - p.a))
+
+
+def isolate_extrema_many(polys: Sequence[BernsteinPoly]) -> List[object]:
+    """isolate_extrema of every polynomial in one batch: per polynomial, its
+    CriticalSet or the exception isolate_extrema would raise for it (the
+    overflow InvalidInputError or the panel-budget ResourceError).  Never
+    raises for the batch; the result of each does not depend on its mates."""
+    out: List[object] = [()] * len(polys)  # local roots, then the set; or an exception
+    jobs = {}
+    for i, p in enumerate(polys):
+        try:
+            job = _derivative_job(p)
+        except InvalidInputError as exc:
+            out[i] = exc
+            continue
+        if job is not None:
+            jobs[i] = job
+    for i, roots in zip(jobs, _sign_change_params_many(list(jobs.values()))):
+        out[i] = roots
+    for i, p in enumerate(polys):
+        if not isinstance(out[i], Exception):
+            width = p.b - p.a
+            out[i] = CriticalSet(
+                [(p.a, TAG_ENDPOINT), (p.b, TAG_ENDPOINT)]
+                + [(p.a + t * width, TAG_ROOT) for t in out[i]]
+            )
+    return out
 
 
 def isolate_extrema(p: BernsteinPoly) -> CriticalSet:
@@ -460,25 +609,14 @@ def isolate_extrema(p: BernsteinPoly) -> CriticalSet:
     Roots of the derivative with even multiplicity (coefficient sign
     variations but no actual sign change) are excluded.
     """
-    entries: List[Tuple[float, str]] = [(p.a, TAG_ENDPOINT), (p.b, TAG_ENDPOINT)]
-    n = p.degree
-    if n >= 1:
-        dc = tuple(p.coeffs[k + 1] - p.coeffs[k] for k in range(n))
-        dmax = max(abs(c) for c in dc)
-        if dmax == math.inf:
-            raise InvalidInputError(
-                "differences of neighbouring coefficients overflow", field="coeffs"
-            )
-        cscale = max(1.0, max(abs(c) for c in p.coeffs))
-        # Derivative noise from O(n) convex combinations of O(cscale)
-        # coefficients is below this; treat such derivatives as identically 0.
-        noise_floor = n * 1e-12 * cscale
-        if dmax > noise_floor:
-            width = p.b - p.a
-            local_tol = min(0.25, MERGE_TOL / width)
-            for t in _sign_change_params(dc, local_tol):
-                entries.append((p.a + t * width, TAG_ROOT))
-    return CriticalSet(entries)
+    return _raised(isolate_extrema_many([p])[0])
+
+
+def _raised(result):
+    """A batch result, raising it if it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # -- critical points ------------------------------------------------------
@@ -518,13 +656,20 @@ def _(f: BernsteinPoly) -> CriticalSet:
 
 @critical_points.register
 def _(f: PiecewisePolynomial) -> CriticalSet:
+    return _piecewise_critical_set(f, isolate_extrema_many(f.pieces))
+
+
+def _piecewise_critical_set(f: PiecewisePolynomial, piece_sets: Sequence[object]) -> CriticalSet:
+    """The critical set of f from isolate_extrema_many of its pieces; raises
+    the first piece's exception, as isolating the pieces in order would."""
     entries: List[Tuple[float, str]] = [(0.0, TAG_ENDPOINT), (1.0, TAG_ENDPOINT)]
-    for piece in f.pieces:
+    for piece, crit in zip(f.pieces, piece_sets):
+        crit = _raised(crit)
         if piece.a != 0.0:
             entries.append((piece.a, TAG_BREAKPOINT))
         # the first and last points stand for the piece's ends (a root within
         # MERGE_TOL of an end has merged into it); the roots lie between them
-        entries.extend((x, TAG_ROOT) for x in isolate_extrema(piece).points[1:-1])
+        entries.extend((x, TAG_ROOT) for x in crit.points[1:-1])
     return CriticalSet(entries)
 
 

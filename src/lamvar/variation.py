@@ -173,8 +173,6 @@ def _subset_search(values: Sequence[float], w: Sequence[float]) -> Tuple[float, 
     n = len(values)
     best_val = 0.0
     best_sub: Tuple[int, ...] = (0, 1) if n >= 2 else tuple(range(n))
-    if n < 2:
-        return best_val, best_sub
     dmax = max(values) - min(values)
     cumw = [0.0]
     for wi in w:
@@ -531,7 +529,12 @@ def tail_variation(f, seq: LambdaSequence, m: int) -> float:
 
 def lambda_norm(f, seq: LambdaSequence) -> float:
     """Variation plus |f(0)|; a norm on the space where the variation is finite."""
-    norm = lambda_variation(f, seq).value + abs(f.eval(0.0))
+    return _norm_on_points(f, seq, critical_points(f).points)
+
+
+def _norm_on_points(f, seq: LambdaSequence, pts: Sequence[float]) -> float:
+    """lambda_norm of f, whose critical points pts are already known."""
+    norm = _solve_over_points(f, seq, pts).value + abs(f.eval(0.0))
     if not math.isfinite(norm):
         raise InvalidInputError("the norm overflows", field="fn")
     return norm

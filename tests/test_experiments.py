@@ -345,6 +345,28 @@ def test_diminish_skipped_case_keeps_no_violations(monkeypatch):
     assert all(rec["outputs"] == {"skipped": True, "reason": "stand-in cap"} for rec in rep.cases)
 
 
+def test_diminish_budget_trip_skips_only_its_case(monkeypatch):
+    # the images of a block are isolated together; a panel-budget error is
+    # carried to its own case, with the message isolating it alone gives
+    monkeypatch.setattr(lamvar.functions, "_MAX_PANELS", 200)
+    clean = run_diminish_campaign(seed=1, cases=3, n_max=2, operators="bernstein")
+    wavy = BernsteinPoly([0.0, 1.0, -1.0, 1.0, -1.0, 1.0, 0.5])  # needs > 200 panels
+    with pytest.raises(ResourceError) as stall:
+        isolate_extrema(wavy)
+    target = clean.cases[1]["inputs"]["points"]
+
+    def stand_in(f, n):
+        if n == 2 and [[x, y] for x, y in f.breakpoints] == target:
+            return wavy
+        return bernstein_of(f, n)
+
+    monkeypatch.setattr(lamvar.experiments, "bernstein_of", stand_in)
+    rep = run_diminish_campaign(seed=1, cases=3, n_max=2, operators="bernstein")
+    assert rep.cases[1]["outputs"] == {"skipped": True, "reason": str(stall.value)}
+    assert [rep.cases[0], rep.cases[2]] == [clean.cases[0], clean.cases[2]]
+    assert rep.summary["skipped"] == 1
+
+
 def test_counterexample_reports_a_flat_image(monkeypatch):
     monkeypatch.setattr(lamvar.experiments, "bernstein_of",
                         lambda f, n: BernsteinPoly([0.0] * (n + 1)))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from lamvar import (
     StepFunction,
     critical_points,
     isolate_extrema,
+    isolate_extrema_many,
     named_function,
     subtract,
 )
@@ -340,6 +342,111 @@ def test_sign_change_params_bisects_wide_gap():
     assert _sign_change_params((-1.0, 1.0, -0.5, -0.5, 1.0), 0.25) == [0.625]
     # the first bisection midpoint is a zero of the polynomial: it is the root
     assert _sign_change_params((0.0, -0.5, 1.0, -1.0, 0.5, 0.0), 0.25) == [0.5]
+
+
+# The polynomial whose derivative's difference coefficients are _FLAT_RIGHT.
+_FLAT_RIGHT_POLY = BernsteinPoly([1.0] * 25 + [0.0] * 24 + [0.001] * 153)
+
+
+def test_batch_carries_each_polynomial_error(monkeypatch):
+    monkeypatch.setattr(functions, "_MAX_PANELS", 62)
+    ordinary = BernsteinPoly([0.0, 1.0, 0.0])  # 3 panels: [0, 1] and its halves
+    overflow = BernsteinPoly([0.0, 1e308, -1e308])
+    stalled, crit, overflowed = isolate_extrema_many([_FLAT_RIGHT_POLY, ordinary, overflow])
+    assert isinstance(stalled, ResourceError)
+    assert re.search(r"stalled on panel \[0\.5, 1\]$", str(stalled))
+    assert crit.points == (0.0, 0.5, 1.0)
+    assert isinstance(overflowed, InvalidInputError) and overflowed.field == "coeffs"
+    # the one-element case raises what the batch carries
+    with pytest.raises(ResourceError, match=r"stalled on panel \[0\.5, 1\]$"):
+        isolate_extrema(_FLAT_RIGHT_POLY)
+    monkeypatch.setattr(functions, "_MAX_PANELS", 63)
+    assert isolate_extrema_many([_FLAT_RIGHT_POLY])[0].points[1] == 0.22522299969568849
+
+
+_DEGREES = st.sampled_from([1, 2, 3, 5, 12, 13, 48, 49, 64])
+_POLYS = st.tuples(
+    _DEGREES.flatmap(lambda n: st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1)),
+    st.integers(0, 6),
+    st.integers(1, 8),
+).map(lambda t: BernsteinPoly(t[0], (t[1] / 8, min(1.0, (t[1] + t[2]) / 8))))
+
+
+def _bits(crit):
+    return [x.hex() for x in crit.points], crit.tags
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.lists(_POLYS, min_size=1, max_size=12), st.lists(_POLYS, max_size=4))
+def test_isolation_does_not_depend_on_the_batch(polys, mates):
+    alone = [_bits(isolate_extrema(p)) for p in polys]
+    assert [_bits(c) for c in isolate_extrema_many(polys)] == alone
+    assert [_bits(c) for c in isolate_extrema_many(polys[::-1])] == alone[::-1]
+    mixed = isolate_extrema_many(mates + polys + mates)
+    assert [_bits(c) for c in mixed[len(mates) : len(mates) + len(polys)]] == alone
+
+
+def _reference_sign_change_params(dcoeffs, tol):
+    """The depth-first subdivision of one derivative: the scalar loop the
+    batched frontier replaces, kept as its reference."""
+    zcut = 1e-12 * max(1.0, max(abs(c) for c in dcoeffs))
+    roots, prev_sign, prev_hi = [], 0, 0.0
+    stack = [(0.0, 1.0, dcoeffs)]
+    while stack:
+        lo, hi, c = stack.pop()
+        nonneg, nonpos = min(c) >= -zcut, max(c) <= zcut
+        if nonneg != nonpos:
+            sign = +1 if nonneg else -1
+            if prev_sign and sign != prev_sign:
+                roots.append(functions._refine(dcoeffs, zcut, tol, prev_hi, lo, prev_sign))
+            prev_sign, prev_hi = sign, hi
+        elif not nonneg and hi - lo > tol:
+            left, right = functions._dc_split(c, 0.5)
+            mid = 0.5 * (lo + hi)
+            stack += [(mid, hi, right), (lo, mid, left)]
+    return [r for r in roots if tol < r < 1.0 - tol]
+
+
+_JOBS = st.tuples(
+    st.integers(1, 50).flatmap(
+        lambda m: st.lists(
+            st.sampled_from([0.0, -0.0, 1e-13, -1e-13]) | st.floats(-1.0, 1.0),
+            min_size=m,
+            max_size=m,
+        )
+    ),
+    st.sampled_from([1e-12, 1e-6, 0.25]),
+)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(_JOBS, min_size=1, max_size=6))
+def test_frontier_matches_depth_first_reference(jobs):
+    expected = [[r.hex() for r in _reference_sign_change_params(dc, tol)] for dc, tol in jobs]
+    got = functions._sign_change_params_many(jobs)
+    assert [[r.hex() for r in roots] for roots in got] == expected
+
+
+def test_split_chunks_keep_the_bits(monkeypatch):
+    rng = random.Random(9)
+    degrees = (1, 5, 12, 49, 64, 100)
+    polys = [BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)]) for n in degrees]
+    expected = [_bits(c) for c in isolate_extrema_many(polys * 2)]
+    monkeypatch.setattr(functions, "_SPLIT_COEFFS", 200)  # 2 to 100 columns a chunk
+    assert [_bits(c) for c in isolate_extrema_many(polys * 2)] == expected
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[-0.0, 1.0], [-0.0, -1.0], [1.0, -0.0], [-1.0, -0.0], [-0.0, 2.0, -0.0]]
+)
+def test_eval_at_an_end_keeps_the_kernel_bits(coeffs):
+    rng = random.Random(5)
+    polys = [BernsteinPoly(coeffs, (0.25, 0.75))]
+    for n in (0, 1, 4, 48, 49, 70):
+        polys.append(BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)], (0.25, 0.75)))
+    for p in polys:
+        for x, t in ((0.25, 0.0), (0.75, 1.0)):
+            assert p.eval(x).hex() == functions._dc_split(p.coeffs, t)[0][-1].hex()
 
 
 def _dc_grid(coeffs, ts):

@@ -17,6 +17,7 @@ from lamvar import (
     ResourceError,
     StepFunction,
     best_assignment,
+    critical_points,
     grid_oracle,
     bernstein_of,
     kantorovich_of,
@@ -415,6 +416,24 @@ def test_restricted_search_node_budget(monkeypatch):
     monkeypatch.setattr(lamvar.variation, "_RESTRICTED_NODE_BUDGET", 5)
     with pytest.raises(ResourceError, match="exceeded its node budget"):
         restricted_variation(random_plf(3, 6), SEQ_N, 0.25, 16)
+
+
+def test_restricted_chain_length_stop():
+    # delta is below the spacing of floats at 0.5, so 0.5 + k * delta == 0.5
+    # for every k: the translate chain never leaves [0, 1] and only the
+    # chain-length stop ends it
+    r = restricted_variation(named_function("hat"), SEQ_N, 5e-324, 2)
+    assert r.method == "grid-lower-bound"
+    assert r.value == 0.0
+
+
+def test_domain_narrower_than_merge_tol_is_one_candidate():
+    # both ends merge into one critical point, so the subset search gets one
+    # candidate and returns an empty witness
+    p = BernsteinPoly([0.0, 1.0], (0.5, 0.5 + 1e-13))
+    assert critical_points(p).points == (0.5,)
+    r = lambda_variation(p, SEQ_N)
+    assert (r.value, len(r.witness), r.assignment) == (0.0, 0, ())
 
 
 def test_restricted_overflow_is_refused():
