@@ -184,8 +184,8 @@ def _skipped(case_id: int, inputs: dict, exc: ResourceError) -> dict:
     return _case(case_id, inputs, {"skipped": True, "reason": str(exc)}, 0.0, False)
 
 
-# Errors that staging carries to the point where the unstaged loop met them,
-# so a case or row is skipped (or the run fails) with the same reason.
+# Errors that converge's staging carries to the point where the unstaged loop
+# met them, so a row is skipped (or the run fails) with the same reason.
 _CARRIED = (ResourceError, InvalidInputError)
 #: Diminish cases whose images are built, then isolated in one batch.  A larger
 #: block shares the subdivision levels among more images but holds them all.
@@ -240,23 +240,15 @@ def run_diminish_campaign(
             bc = rng.randint(2, DIMINISH_MAX_BREAKPOINTS)
             f = random_plf(rng.randrange(2 ** 63), bc)
             inputs = {"seed": cseed, "points": [[x, y] for x, y in f.breakpoints]}
-            images, carried = [], None
-            try:
-                for n, _, op in steps:
-                    images.append(op(f, n))
-            except _CARRIED as exc:
-                carried = exc
-            block.append((index, f, inputs, images, carried))
+            block.append((index, f, inputs, [op(f, n) for n, _, op in steps]))
         crits = iter(isolate_extrema_many([p for case in block for p in case[3]]))
-        for index, f, inputs, images, carried in block:
+        for index, f, inputs, images in block:
             sets = [next(crits) for _ in images]
             try:
                 base = {name: lambda_variation(f, seq).value for name, seq in seqs}
                 margins = []  # (margin, op, n, family) in loop order
-                for k, (n, op_name, _) in enumerate(steps):
-                    if k == len(images):
-                        raise carried
-                    p, pts = images[k], _raised(sets[k]).points
+                for (n, op_name, _), p, crit in zip(steps, images, sets):
+                    pts = _raised(crit).points
                     for name, seq in seqs:
                         margin = base[name] - lambda_variation_on_set(p, seq, pts).value
                         margins.append((margin, op_name, n, name))

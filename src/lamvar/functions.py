@@ -471,33 +471,20 @@ def _refine(
     return 0.5 * (lo + hi)
 
 
-def _budget_error(dcoeffs: Sequence[float], zcut: float, tol: float) -> ResourceError:
-    """The error of a derivative whose subdivision visits more than
-    _MAX_PANELS panels.  It names the first panel past the budget in
-    depth-first pre-order, left halves first, whatever the batch."""
-    stack = [(0.0, 1.0, dcoeffs)]
-    for _ in range(_MAX_PANELS):
-        lo, hi, c = stack.pop()
-        if min(c) < -zcut and max(c) > zcut and hi - lo > tol:
-            left, right = _dc_split(c, 0.5)
-            mid = 0.5 * (lo + hi)
-            stack += [(mid, hi, right), (lo, mid, left)]
-    lo, hi, _ = stack.pop()
-    return ResourceError(f"derivative sign analysis stalled on panel [{lo:.17g}, {hi:.17g}]")
-
-
 def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> List[object]:
-    """_sign_change_params of every (dcoeffs, tol) job: per job, its list of
-    parameters or the ResourceError it would raise.
+    """Per (dcoeffs, tol) job, the parameters in (0,1) where its
+    Bernstein-coefficient polynomial changes sign, or its ResourceError.
 
-    Subdivision is level-synchronous.  The frontier is a coefficient-major
-    (coefficients, panels) array of every panel of one depth, of every job.
-    A panel whose coefficients are all >= -zcut or all <= zcut is certified
-    (or flat, if both); the other panels wider than their job's tol are split.
-    A panel's fate depends only on its own coefficients, zcut and tol, so each
-    job visits the panels the depth-first walk of it alone visits; its
-    certified panels, taken left to right, meet on the same roots.  A job
-    whose visited panels exceed _MAX_PANELS leaves the frontier.
+    Touch points (no sign change) are excluded: a reported root needs a
+    sign-certified panel on each side, with opposite signs.  Subdivision is
+    level-synchronous.  The frontier is a coefficient-major (coefficients,
+    panels) array of every panel of one depth, of every job.  A panel whose
+    coefficients are all >= -zcut or all <= zcut is certified (or flat, if
+    both); the other panels wider than their job's tol are split, the
+    narrower ones dropped.  A panel's fate depends only on its own
+    coefficients, zcut and tol, so a job's panels and roots do not depend on
+    its mates.  A job whose visited panels pass _MAX_PANELS leaves the
+    frontier; its error names its leftmost panel of that level.
     """
     k = len(jobs)
     if not k:
@@ -512,12 +499,19 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
     zcut, tol = np.array(zcuts), np.array(tols)
     owner, lo, hi = np.arange(k), np.zeros(k), np.ones(k)
     visited = np.zeros(k, dtype=np.int64)
+    stalled = {}  # job: its ResourceError
     certified = []  # per level: owner, lo, hi, positive
     while owner.size:
         visited += np.bincount(owner, minlength=k)
         if visited.max() > _MAX_PANELS:
-            keep = visited[owner] <= _MAX_PANELS
-            c, owner, lo, hi = c[:, keep], owner[keep], lo[keep], hi[keep]
+            over = visited[owner] > _MAX_PANELS
+            for j in set(owner[over].tolist()):
+                i = min(np.flatnonzero(owner == j), key=lo.__getitem__)
+                stalled[j] = ResourceError(
+                    f"derivative sign analysis passed its budget of {_MAX_PANELS} panels; "
+                    f"stalled on panel [{lo[i]:.17g}, {hi[i]:.17g}]"
+                )
+            c, owner, lo, hi = c[:, ~over], owner[~over], lo[~over], hi[~over]
         nonneg = np.fmin.reduce(c, axis=0) >= -zcut[owner]
         nonpos = np.fmax.reduce(c, axis=0) <= zcut[owner]
         sure = nonneg != nonpos
@@ -540,20 +534,9 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
                             positive[turns].tolist()):
         roots[j].append(_refine(dcs[j], zcuts[j], tols[j], a, b, 1 if pos else -1))
     return [
-        _budget_error(dcs[j], zcuts[j], tols[j]) if visited[j] > _MAX_PANELS
-        else [r for r in roots[j] if tols[j] < r < 1.0 - tols[j]]
+        stalled[j] if j in stalled else [r for r in roots[j] if tols[j] < r < 1.0 - tols[j]]
         for j in range(k)
     ]
-
-
-def _sign_change_params(dcoeffs: Sequence[float], tol: float) -> List[float]:
-    """Parameters in (0,1) where the Bernstein-coefficient polynomial changes
-    sign.  Touch points (no sign change) are excluded: a reported root needs a
-    sign-certified panel on each side, with opposite signs.  Uncertified panels
-    narrower than tol are dropped; a subdivision that visits more than
-    _MAX_PANELS panels raises ResourceError.
-    """
-    return _raised(_sign_change_params_many([(dcoeffs, tol)])[0])
 
 
 def _derivative_job(p: BernsteinPoly):

@@ -172,7 +172,7 @@ def _subset_search(values: Sequence[float], w: Sequence[float]) -> Tuple[float, 
     """
     n = len(values)
     best_val = 0.0
-    best_sub: Tuple[int, ...] = (0, 1) if n >= 2 else tuple(range(n))
+    best_sub: Tuple[int, ...] = (0, 1)
     dmax = max(values) - min(values)
     cumw = [0.0]
     for wi in w:
@@ -212,6 +212,8 @@ def _subset_search(values: Sequence[float], w: Sequence[float]) -> Tuple[float, 
 
 
 def _solve_over_points(f, seq: LambdaSequence, pts: Sequence[float]) -> VariationResult:
+    if len(pts) < 2:
+        raise DomainError("need at least two distinct points")
     if len(pts) > SOLVER_POINT_CAP:
         raise ResourceError(
             f"{len(pts)} candidate points exceed the solver cap of "
@@ -237,10 +239,7 @@ def lambda_variation(f, seq: LambdaSequence) -> VariationResult:
 def lambda_variation_on_set(f, seq: LambdaSequence, points: Iterable[float]) -> VariationResult:
     """Weighted variation restricted to interval systems with endpoints in the
     given point set."""
-    pts = _dedup_sorted(sorted(float(x) for x in points))
-    if len(pts) < 2:
-        raise DomainError("need at least two distinct points")
-    return _solve_over_points(f, seq, pts)
+    return _solve_over_points(f, seq, _dedup_sorted(sorted(float(x) for x in points)))
 
 
 def _dedup_sorted(xs: Sequence[float]) -> List[float]:

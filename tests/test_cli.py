@@ -185,6 +185,10 @@ def test_operator_bad_emit_exits_2(capsys, files):
                                 "-n", "2", "--emit", "samples:x"])
     assert code == 2
     assert "emit" in err
+    code, out, err = run(capsys, ["operator", "--op", "bernstein", "--fn", files["hat"],
+                                  "-n", "2", "--emit", "bogus"])
+    assert (code, out) == (2, "")
+    assert err == "error: emit: expected 'coeffs' or 'samples:K', got 'bogus'\n"
 
 
 def test_operator_degree_above_cap_exits_4(capsys, files):
@@ -238,6 +242,16 @@ def test_diminish_bad_family_exits_2(capsys, files):
     code, _, err = run(capsys, ["diminish", "--cases", "2", "--lambdas", "constant,weird"])
     assert code == 2
     assert "unknown family" in err
+    code, out, err = run(capsys, ["diminish", "--cases", "2", "--lambdas", ","])
+    assert (code, out) == (2, "")
+    assert err == "error: lambdas: expected a comma-separated list\n"
+
+
+def test_out_into_missing_directory_exits_2(capsys, files):
+    path = str(files["dir"] / "missing" / "report.json")
+    code, out, err = run(capsys, ["diminish", "--cases", "2", "--nmax", "2", "--out", path])
+    assert (code, out) == (2, "")
+    assert err == f"error: out: cannot write {path}: No such file or directory\n"
 
 
 def test_counterexample_cli(capsys, files):

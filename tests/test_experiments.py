@@ -133,6 +133,7 @@ def test_report_serialization_deterministic():
     b = run_diminish_campaign(seed=5, cases=6, n_max=4)
     assert dumps(a.to_json(), indent=2) == dumps(b.to_json(), indent=2)
     assert a.to_csv() == b.to_csv()
+    assert repr(a) == "ExperimentReport('diminish', cases=6, violations=0)"
 
 
 def test_report_csv_shape():
@@ -330,14 +331,19 @@ def test_diminish_reports_skips(monkeypatch):
 
 
 def test_diminish_skipped_case_keeps_no_violations(monkeypatch):
-    # violates at n = 1, then hits a cap at n = 2: the whole case is skipped,
-    # so none of its margins may stand as a violation
-    def flaky(f, n):
-        if n == 2:
-            raise ResourceError("stand-in cap")
-        return BernsteinPoly([0.0, 100.0])  # far more variation than any input
+    # violates at n = 1, then the solver hits a cap at n = 2: the whole case
+    # is skipped, so none of its margins may stand as a violation
+    solve = lamvar.experiments.lambda_variation_on_set
 
-    monkeypatch.setattr(lamvar.experiments, "bernstein_of", flaky)
+    def flaky(p, seq, points):
+        if p.degree == 2:
+            raise ResourceError("stand-in cap")
+        return solve(p, seq, points)
+
+    # degree n, and far more variation than any input
+    monkeypatch.setattr(lamvar.experiments, "bernstein_of",
+                        lambda f, n: BernsteinPoly([0.0] + [100.0] * n))
+    monkeypatch.setattr(lamvar.experiments, "lambda_variation_on_set", flaky)
     rep = run_diminish_campaign(seed=1, cases=3, n_max=2, operators="bernstein")
     assert rep.violations == []
     assert rep.ok

@@ -22,7 +22,11 @@ from lamvar import (
     subtract,
 )
 from lamvar import functions
-from lamvar.functions import _sign_change_params
+
+
+def _sign_change_params(dcoeffs, tol):
+    # one job of the frontier, raising its error
+    return functions._raised(functions._sign_change_params_many([(dcoeffs, tol)])[0])
 
 
 # independent oracle: convert Bernstein coefficients to the power basis
@@ -113,6 +117,10 @@ def test_step_validation():
         StepFunction([0.5], [0.0, 1.0], [2.0])
     with pytest.raises(InvalidInputError, match="pieces"):
         StepFunction([0.5], [1.0], [0.5])
+    with pytest.raises(InvalidInputError, match=r"cuts\[1\]: cuts must be strictly increasing"):
+        StepFunction([0.5, 0.5], [0.0, 1.0, 2.0], [0.5, 1.5])
+    with pytest.raises(InvalidInputError, match="pointValues: expected 1 point values, got 2"):
+        StepFunction([0.5], [0.0, 1.0], [0.5, 0.5])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidInputError, match=r"pieces\[1\]: must be finite"):
             StepFunction([0.5], [0.0, bad], [0.0])
@@ -249,6 +257,13 @@ def test_piecewise_polynomial_seams():
         PiecewisePolynomial([left, bad])
     with pytest.raises(InvalidInputError, match=r"pieces\[0\]"):
         PiecewisePolynomial([right])
+    with pytest.raises(InvalidInputError, match="pieces: need at least one piece"):
+        PiecewisePolynomial([])
+    with pytest.raises(InvalidInputError, match=r"pieces\[0\]: last piece must end at 1"):
+        PiecewisePolynomial([left])
+    gap = BernsteinPoly([1.0, 0.0], (0.75, 1.0))
+    with pytest.raises(InvalidInputError, match=r"pieces\[1\]: pieces must share endpoints"):
+        PiecewisePolynomial([left, gap])
 
 
 def test_critical_points_plf_slope_changes():
@@ -264,6 +279,11 @@ def test_critical_points_plf_slope_changes():
     # collinear interior breakpoint is not a monotonicity change
     straight = PiecewiseLinear([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)])
     assert critical_points(straight).points == (0.0, 1.0)
+
+
+def test_critical_points_rejects_unsupported_type():
+    with pytest.raises(InvalidInputError, match="unsupported function type float"):
+        critical_points(0.5)
 
 
 def test_critical_points_step():
@@ -309,13 +329,19 @@ def test_isolate_extrema_snaps_noise_to_constant():
     p = BernsteinPoly([0.3, 0.7]).elevate(63)
     cs = isolate_extrema(p)
     assert cs.points == (0.0, 1.0)
+    # degree 0 has no derivative to isolate
+    assert isolate_extrema(BernsteinPoly([0.7], (0.25, 0.5))).points == (0.25, 0.5)
 
 
 # A degree-200 derivative with one sign change near 0.225 that is numerically
-# flat on [0.5, 1]: subdivision visits 63 panels, the last of them [0.5, 1].
+# flat on [0.5, 1]: subdivision visits 63 panels, [0, 1] and then two a level
+# while it closes in on the root; the left one of the last level ends on it.
 _FLAT_RIGHT = [0.0] * 201
 _FLAT_RIGHT[24] = -1.0
 _FLAT_RIGHT[48] = 0.001
+_FLAT_RIGHT_STALL = (
+    r"budget of 62 panels; stalled on panel \[0\.2252229992300272, 0\.22522299969568849\]$"
+)
 
 
 def test_sign_change_params_skips_flat_panel():
@@ -330,7 +356,7 @@ def test_sign_change_params_panel_budget(monkeypatch):
     monkeypatch.setattr(functions, "_MAX_PANELS", 63)
     assert _sign_change_params(_FLAT_RIGHT, 1e-12) == [0.22522299969568849]
     monkeypatch.setattr(functions, "_MAX_PANELS", 62)
-    with pytest.raises(ResourceError, match=r"stalled on panel \[0\.5, 1\]$"):
+    with pytest.raises(ResourceError, match=_FLAT_RIGHT_STALL):
         _sign_change_params(_FLAT_RIGHT, 1e-12)
 
 
@@ -354,14 +380,31 @@ def test_batch_carries_each_polynomial_error(monkeypatch):
     overflow = BernsteinPoly([0.0, 1e308, -1e308])
     stalled, crit, overflowed = isolate_extrema_many([_FLAT_RIGHT_POLY, ordinary, overflow])
     assert isinstance(stalled, ResourceError)
-    assert re.search(r"stalled on panel \[0\.5, 1\]$", str(stalled))
+    assert re.search(_FLAT_RIGHT_STALL, str(stalled))
     assert crit.points == (0.0, 0.5, 1.0)
     assert isinstance(overflowed, InvalidInputError) and overflowed.field == "coeffs"
     # the one-element case raises what the batch carries
-    with pytest.raises(ResourceError, match=r"stalled on panel \[0\.5, 1\]$"):
+    with pytest.raises(ResourceError, match=_FLAT_RIGHT_STALL):
         isolate_extrema(_FLAT_RIGHT_POLY)
     monkeypatch.setattr(functions, "_MAX_PANELS", 63)
     assert isolate_extrema_many([_FLAT_RIGHT_POLY])[0].points[1] == 0.22522299969568849
+
+
+def test_stall_message_does_not_depend_on_the_batch(monkeypatch):
+    # the error names the polynomial's own leftmost panel of the level that
+    # passed the budget, so mates, stalled at that level or another or not
+    # at all, keep it
+    monkeypatch.setattr(functions, "_MAX_PANELS", 62)
+    mirror = BernsteinPoly(_FLAT_RIGHT_POLY.coeffs[::-1])  # stalls at the same level
+    wavy = BernsteinPoly([0.0, 1.0, -1.0, 1.0, -1.0, 1.0, 0.5])  # stalls at another
+    stalled = [_FLAT_RIGHT_POLY, mirror, wavy]
+    alone = [str(isolate_extrema_many([p])[0]) for p in stalled]
+    assert re.search(_FLAT_RIGHT_STALL, alone[0])
+    assert all(msg.startswith("derivative sign analysis passed") for msg in alone)
+    mates = [BernsteinPoly([0.0, 1.0, 0.0]), BernsteinPoly([0.3, -0.2] * 40)]
+    for batch in (stalled + mates, mates + stalled[::-1]):
+        got = isolate_extrema_many(batch)
+        assert [str(got[batch.index(p)]) for p in stalled] == alone
 
 
 _DEGREES = st.sampled_from([1, 2, 3, 5, 12, 13, 48, 49, 64])
@@ -486,6 +529,19 @@ def test_critical_set_merges_coincident_points():
     assert cs.points == (0.0, 0.5, 1.0)
     assert cs.tags[1] == "isolated-root"  # the first entry's tag
     assert len(cs) == 3
+    assert list(cs) == [0.0, 0.5, 1.0]
+
+
+def test_reprs():
+    left = BernsteinPoly([0.0, 1.0], (0.0, 0.5))
+    right = BernsteinPoly([1.0, 0.0], (0.5, 1.0))
+    assert repr(named_function("hat")) == "PiecewiseLinear(3 breakpoints)"
+    assert repr(StepFunction([0.5], [0.0, 1.0], [0.5])) == "StepFunction(1 cuts)"
+    assert repr(left) == "BernsteinPoly(degree=1, domain=(0, 0.5))"
+    assert repr(PiecewisePolynomial([left, right])) == "PiecewisePolynomial(2 pieces)"
+    assert repr(isolate_extrema(BernsteinPoly([0.0, 1.0, 0.0]))) == (
+        "CriticalSet(0:endpoint, 0.5:isolated-root, 1:endpoint)"
+    )
 
 
 def test_subtract_evaluates_as_difference():

@@ -197,6 +197,25 @@ def test_validation_field_paths():
         LambdaSequence.explicit([5.0], 1.0, 0.0)
     with pytest.raises(InvalidInputError, match="family"):
         LambdaSequence("cubic", {})
+    with pytest.raises(InvalidInputError, match="params.c: expected a number"):
+        LambdaSequence("constant", {"c": "1"})
+    with pytest.raises(InvalidInputError, match="params.c: expected a number"):
+        LambdaSequence("constant", {"c": True})
+    with pytest.raises(InvalidInputError, match="params.a: must be finite"):
+        LambdaSequence("linear", {"a": math.inf})
+    with pytest.raises(InvalidInputError, match="params: expected an object"):
+        LambdaSequence("constant", [1.0])
+    with pytest.raises(InvalidInputError, match="params.p: missing exponent"):
+        LambdaSequence("power", {})
+    for prefix in ([], None):
+        with pytest.raises(InvalidInputError, match="params.prefix: expected a nonempty array"):
+            LambdaSequence("explicit", {"prefix": prefix, "tail": {}})
+    with pytest.raises(InvalidInputError, match=r"params.prefix\[1\]: must be positive"):
+        LambdaSequence("explicit", {"prefix": [1.0, 0.0], "tail": {}})
+    with pytest.raises(InvalidInputError, match=r"params.tail: expected an object \{a, b\}"):
+        LambdaSequence("explicit", {"prefix": [1.0], "tail": [0.0, 1.0]})
+    with pytest.raises(InvalidInputError, match="params.tail.a: tail slope must be nonnegative"):
+        LambdaSequence("explicit", {"prefix": [1.0], "tail": {"a": -1.0, "b": 5.0}})
 
 
 def test_json_roundtrip():
@@ -216,6 +235,8 @@ def test_json_roundtrip():
 
 
 def test_from_json_rejects_bad_schema():
+    with pytest.raises(InvalidInputError, match="expected an object"):
+        LambdaSequence.from_json(["linear"])
     with pytest.raises(InvalidInputError, match="family"):
         LambdaSequence.from_json({"params": {}})
     with pytest.raises(InvalidInputError, match="shift"):

@@ -92,6 +92,14 @@ def test_interval_system_validation():
         IntervalSystem([(0.0, 0.2), (0.9, 0.4)])
 
 
+def test_interval_system_and_result_access():
+    system = IntervalSystem([(0.8, 1.0), (0.0, 0.3)])
+    assert (len(system), system[1]) == (2, (0.0, 0.3))
+    assert repr(system) == "IntervalSystem([(0.8, 1.0), (0.0, 0.3)])"
+    r = lambda_variation(named_function("hat"), SEQ_N)
+    assert repr(r) == "VariationResult(value=1.5, method='exact')"
+
+
 def test_sigma_order_dependence():
     ident = named_function("identity")
     assert sigma(ident, [(0.0, 0.75), (0.75, 1.0)], SEQ_N) == pytest.approx(0.875, abs=1e-15)
@@ -428,12 +436,13 @@ def test_restricted_chain_length_stop():
 
 
 def test_domain_narrower_than_merge_tol_is_one_candidate():
-    # both ends merge into one critical point, so the subset search gets one
-    # candidate and returns an empty witness
+    # both ends merge into one critical point; one candidate cannot carry an
+    # interval, so the solver refuses instead of answering 0.0 "exact" for a
+    # function whose variation is 1.0
     p = BernsteinPoly([0.0, 1.0], (0.5, 0.5 + 1e-13))
     assert critical_points(p).points == (0.5,)
-    r = lambda_variation(p, SEQ_N)
-    assert (r.value, len(r.witness), r.assignment) == (0.0, 0, ())
+    with pytest.raises(DomainError, match="need at least two distinct points"):
+        lambda_variation(p, SEQ_N)
 
 
 def test_restricted_overflow_is_refused():
