@@ -8,8 +8,9 @@ de Casteljau kernel, ``_dc_split`` (a value is the last coefficient of the
 left half); coefficients are never converted to the monomial basis.  Degree
 elevation runs one vectorized step per degree and reproduces the scalar
 recurrence bit for bit.  Extrema are isolated by subdivision driven by
-coefficient sign certificates, then refined by bisection; the subdivision runs
-level by level over every polynomial of a batch at once.
+coefficient sign certificates, level by level over every polynomial of a batch
+at once; a root is the midpoint of the gap between two certified panels of
+opposite sign.
 
 Evaluation identities hold to 1e-12.  Root positions are resolved to
 ``MERGE_TOL`` (1e-12), the distance at which critical points merge.
@@ -454,23 +455,6 @@ def _halve(c: np.ndarray, cols: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refine(
-    dcoeffs: Sequence[float], zcut: float, tol: float, lo: float, hi: float, sign_left: int
-) -> float:
-    """Bisect [lo, hi], whose left end has sign sign_left, down to the root."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        v = _dc_split(dcoeffs, mid)[0][-1]
-        s = +1 if v > zcut else (-1 if v < -zcut else 0)
-        if s == 0:
-            return mid
-        if s == sign_left:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> List[object]:
     """Per (dcoeffs, tol) job, the parameters in (0,1) where its
     Bernstein-coefficient polynomial changes sign, or its ResourceError.
@@ -489,14 +473,12 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
     k = len(jobs)
     if not k:
         return []
-    dcs = [dc for dc, _ in jobs]
-    tols = [t for _, t in jobs]
-    zcuts = [1e-12 * max(1.0, max(abs(x) for x in dc)) for dc in dcs]
-    lens = np.array([len(dc) for dc in dcs])
+    lens = np.array([len(dc) for dc, _ in jobs])
     c = np.full((lens.max(), k), np.nan)  # a column's rows past its length are NaN
-    for i, dc in enumerate(dcs):
+    for i, (dc, _) in enumerate(jobs):
         c[: len(dc), i] = dc
-    zcut, tol = np.array(zcuts), np.array(tols)
+    zcut = 1e-12 * np.maximum(1.0, np.fmax.reduce(np.abs(c), axis=0))
+    tol = np.array([t for _, t in jobs])
     owner, lo, hi = np.arange(k), np.zeros(k), np.ones(k)
     visited = np.zeros(k, dtype=np.int64)
     stalled = {}  # job: its ResourceError
@@ -526,17 +508,15 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
     owner, lo, hi, positive = (np.concatenate(col) for col in zip(*certified))
     order = np.lexsort((lo, owner))
     owner, lo, hi, positive = owner[order], lo[order], hi[order], positive[order]
-    # a root lies between neighbouring certified panels of opposite signs
-    # (adjacent panels, lo == the previous hi, meet on it)
+    # a root lies between neighbouring certified panels of opposite signs, at
+    # the midpoint of the gap between them (adjacent panels meet on it)
     turns = np.flatnonzero((owner[1:] == owner[:-1]) & (positive[1:] != positive[:-1]))
+    owner, r = owner[turns], 0.5 * (hi[turns] + lo[turns + 1])
+    keep = (tol[owner] < r) & (r < 1.0 - tol[owner])
     roots: List[List[float]] = [[] for _ in range(k)]
-    for j, a, b, pos in zip(owner[turns].tolist(), hi[turns].tolist(), lo[turns + 1].tolist(),
-                            positive[turns].tolist()):
-        roots[j].append(_refine(dcs[j], zcuts[j], tols[j], a, b, 1 if pos else -1))
-    return [
-        stalled[j] if j in stalled else [r for r in roots[j] if tols[j] < r < 1.0 - tols[j]]
-        for j in range(k)
-    ]
+    for j, x in zip(owner[keep].tolist(), r[keep].tolist()):
+        roots[j].append(x)
+    return [stalled.get(j, roots[j]) for j in range(k)]
 
 
 def _derivative_job(p: BernsteinPoly):

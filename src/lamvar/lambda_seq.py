@@ -252,7 +252,9 @@ class LambdaSequence:
     @classmethod
     def from_json(cls, obj: Any) -> "LambdaSequence":
         if not isinstance(obj, Mapping):
-            raise InvalidInputError("expected an object", field="")
+            raise InvalidInputError(
+                "weight-sequence description must be a JSON object", field="lambda"
+            )
         family = obj.get("family")
         if not isinstance(family, str):
             raise InvalidInputError("missing or non-string family", field="family")

@@ -48,7 +48,7 @@ def kantorovich_of(f, n: int) -> BernsteinPoly:
     _check_degree(n)
     if not hasattr(f, "integrate"):
         raise InvalidInputError(
-            f"{type(f).__name__} does not support exact integration"
+            f"{type(f).__name__} does not support exact integration", field="fn"
         )
     m = n + 1
     coeffs = tuple(m * f.integrate(k / m, (k + 1) / m) for k in range(m))

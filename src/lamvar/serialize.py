@@ -114,14 +114,6 @@ def function_from_json(obj):
     raise InvalidInputError(f"unknown function type {kind!r}", field="type")
 
 
-def lambda_from_json(obj) -> LambdaSequence:
-    if not isinstance(obj, dict):
-        raise InvalidInputError(
-            "weight-sequence description must be a JSON object", field="lambda"
-        )
-    return LambdaSequence.from_json(obj)
-
-
 def parse_json_text(text: str, field: str):
     try:
         return json.loads(text)
@@ -137,7 +129,7 @@ def load_function_file(path: str):
 
 
 def load_lambda_file(path: str) -> LambdaSequence:
-    return lambda_from_json(parse_json_text(_read(path, "lambda"), "lambda"))
+    return LambdaSequence.from_json(parse_json_text(_read(path, "lambda"), "lambda"))
 
 
 def _read(path: str, field: str) -> str:

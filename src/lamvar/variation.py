@@ -400,8 +400,6 @@ def _restricted_search(
                 "restricted-variation search exceeded its node budget; "
                 "lower the resolution"
             )
-        if i >= n - 1:
-            return
         for d, jj in children[i]:
             nd = list(diffs_desc)
             pos = 0
@@ -521,8 +519,6 @@ def wiener_profile(
 
 def tail_variation(f, seq: LambdaSequence, m: int) -> float:
     """Weighted variation against the sequence with its first m terms dropped."""
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise DomainError(f"tail length must be a nonnegative integer, got {m!r}")
     return lambda_variation(f, seq.tail(m)).value
 
 

@@ -35,6 +35,7 @@ def files(tmp_path):
         "bad": write("bad.json", '{"type": "plf", "points": [[0, 0], [1]]}'),
         "nan_plf": write("nan_plf.json",
                          '{"type": "plf", "points": [[0, NaN], [0.5, 1], [1, 0]]}'),
+        "bern": write("bern.json", '{"type": "bernstein", "coeffs": [0, 1]}'),
         "inf_bern": write("inf_bern.json", '{"type": "bernstein", "coeffs": [0, Infinity, 1]}'),
         "wide_bern": write("wide_bern.json",
                            '{"type": "bernstein", "coeffs": [1e308, -1e308, 1e308]}'),
@@ -189,6 +190,10 @@ def test_operator_bad_emit_exits_2(capsys, files):
                                   "-n", "2", "--emit", "bogus"])
     assert (code, out) == (2, "")
     assert err == "error: emit: expected 'coeffs' or 'samples:K', got 'bogus'\n"
+    code, out, err = run(capsys, ["operator", "--op", "kantorovich", "--fn", files["bern"],
+                                  "-n", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: fn: BernsteinPoly does not support exact integration\n"
 
 
 def test_operator_degree_above_cap_exits_4(capsys, files):

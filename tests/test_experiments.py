@@ -7,7 +7,7 @@ import pytest
 
 import lamvar.experiments
 import lamvar.variation
-from lamvar.errors import DomainError, ResourceError
+from lamvar.errors import DomainError, InvalidInputError, ResourceError
 from lamvar.experiments import (
     check_continuity_set,
     family_sequence,
@@ -20,6 +20,7 @@ from lamvar.experiments import (
 from lamvar.functions import (
     BernsteinPoly,
     PiecewiseLinear,
+    PiecewisePolynomial,
     StepFunction,
     critical_points,
     isolate_extrema,
@@ -408,3 +409,37 @@ def test_convergence_skipped_row_leaves_trends_unchecked():
     assert rep.summary["trend"] == {
         name: {"checked": False} for name in ("d_bernstein", "d_kantorovich", "norm_gap")
     }
+
+
+def test_convergence_carries_row_errors(monkeypatch):
+    # converge builds a row's operands before it isolates them; an error met
+    # while building is raised or skipped where the row's own order meets it
+    f = named_function("abs_mid")
+    seq = LambdaSequence.linear(1.0, 0.0)
+    schedule = [4, 16, 64]
+    plain = run_convergence_study(f, seq, schedule)
+    k16 = kantorovich_of(f, 16).coeffs
+    real_subtract = lamvar.experiments.subtract
+
+    def subtract(p, g):
+        if p.coeffs == k16:
+            raise InvalidInputError("stand-in overflow", field="fn")
+        return real_subtract(p, g)
+
+    monkeypatch.setattr(lamvar.experiments, "subtract", subtract)
+    with pytest.raises(InvalidInputError, match="fn: stand-in overflow"):
+        run_convergence_study(f, seq, schedule)
+
+    # the Bernstein side's norm comes first in the row, so its cap skips the
+    # row before the carried error is reached, and the run goes on
+    real_norm = lamvar.experiments._norm_on_points
+
+    def norm_on_points(q, seq, pts):
+        if isinstance(q, PiecewisePolynomial) and q.pieces[0].degree == 16:
+            raise ResourceError("stand-in cap")
+        return real_norm(q, seq, pts)
+
+    monkeypatch.setattr(lamvar.experiments, "_norm_on_points", norm_on_points)
+    rep = run_convergence_study(f, seq, schedule)
+    assert rep.cases[1]["outputs"] == {"skipped": True, "reason": "stand-in cap"}
+    assert [rep.cases[0], rep.cases[2]] == [plain.cases[0], plain.cases[2]]

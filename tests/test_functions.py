@@ -360,14 +360,19 @@ def test_sign_change_params_panel_budget(monkeypatch):
         _sign_change_params(_FLAT_RIGHT, 1e-12)
 
 
-def test_sign_change_params_bisects_wide_gap():
+def test_sign_change_params_takes_wide_gap_midpoint():
     # the uncertified gap between opposite panels is wider than the tolerance:
-    # bisection lands on 0.375, where the gap midpoint would be 0.5
-    assert _sign_change_params((-1.0, -0.5, 0.5, 0.0, 0.0, -0.5, 1.0), 0.25) == [0.375]
-    # the midpoint 0.5 keeps the left sign, so bisection moves its left end
-    assert _sign_change_params((-1.0, 1.0, -0.5, -0.5, 1.0), 0.25) == [0.625]
-    # the first bisection midpoint is a zero of the polynomial: it is the root
+    # the root is its midpoint, wherever inside it the sign changes
+    assert _sign_change_params((-1.0, -0.5, 0.5, 0.0, 0.0, -0.5, 1.0), 0.25) == [0.5]
+    assert _sign_change_params((-1.0, 1.0, -0.5, -0.5, 1.0), 0.25) == [0.5]
     assert _sign_change_params((0.0, -0.5, 1.0, -1.0, 0.5, 0.0), 0.25) == [0.5]
+    # the panel [0.25, 0.5] between the opposite panels is flat (every
+    # coefficient within zcut), so the gap is wider than tol = 1e-12
+    dc = [0.0] * 282
+    dc[21] = -0.0008814971969222255
+    dc[25] = 1.679555373081372e-05
+    dc[238] = 0.00015550241819375842
+    assert _sign_change_params(tuple(dc), 1e-12) == [0.375]
 
 
 # The polynomial whose derivative's difference coefficients are _FLAT_RIGHT.
@@ -441,7 +446,7 @@ def _reference_sign_change_params(dcoeffs, tol):
         if nonneg != nonpos:
             sign = +1 if nonneg else -1
             if prev_sign and sign != prev_sign:
-                roots.append(functions._refine(dcoeffs, zcut, tol, prev_hi, lo, prev_sign))
+                roots.append(0.5 * (prev_hi + lo))
             prev_sign, prev_hi = sign, hi
         elif not nonneg and hi - lo > tol:
             left, right = functions._dc_split(c, 0.5)

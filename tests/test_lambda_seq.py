@@ -235,7 +235,7 @@ def test_json_roundtrip():
 
 
 def test_from_json_rejects_bad_schema():
-    with pytest.raises(InvalidInputError, match="expected an object"):
+    with pytest.raises(InvalidInputError, match="lambda: weight-sequence description must be a JSON object"):
         LambdaSequence.from_json(["linear"])
     with pytest.raises(InvalidInputError, match="family"):
         LambdaSequence.from_json({"params": {}})

@@ -109,8 +109,9 @@ def test_kantorovich_mean_of_huge_values_stays_finite():
 
 
 def test_kantorovich_requires_exact_integration():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError) as err:
         kantorovich_of(BernsteinPoly([0.0, 1.0]), 3)
+    assert err.value.field == "fn"
     with pytest.raises(InvalidInputError):
         kantorovich_aux(BernsteinPoly([0.0, 1.0]), 3)
 

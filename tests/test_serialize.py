@@ -12,7 +12,6 @@ from lamvar.serialize import (
     dumps,
     format_float,
     function_from_json,
-    lambda_from_json,
     load_function_file,
     load_lambda_file,
     parse_json_text,
@@ -111,16 +110,20 @@ def test_function_from_json_field_paths():
         assert err.value.field == field, obj
 
 
-def test_lambda_from_json_roundtrip():
+def test_lambda_from_json_roundtrip(tmp_path):
     seq = LambdaSequence.power(0.5)
-    back = lambda_from_json(seq.to_json())
+    p = tmp_path / "l.json"
+    p.write_text(dumps(seq.to_json()))
+    back = load_lambda_file(str(p))
     for n in (1, 5, 40):
         assert back.term(n) == seq.term(n)
 
 
-def test_lambda_from_json_rejects_non_object():
+def test_lambda_from_json_rejects_non_object(tmp_path):
+    p = tmp_path / "l.json"
+    p.write_text("[1, 2, 3]")
     with pytest.raises(InvalidInputError) as err:
-        lambda_from_json([1, 2, 3])
+        load_lambda_file(str(p))
     assert err.value.field == "lambda"
 
 
