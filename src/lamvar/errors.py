@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the positive-integer check."""
+"""Exception types shared across the package, and the two input checks that
+several modules share: positive integers and finite JSON numbers."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -29,4 +32,14 @@ class PropertyViolationError(RuntimeError):
 def _check_positive_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def _check_number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"expected a number, got {value!r}", field=field)
+    value = float(value)
+    if not math.isfinite(value):
+        # json.loads accepts the NaN and Infinity literals
+        raise InvalidInputError("must be finite", field=field)
     return value

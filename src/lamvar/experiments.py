@@ -15,7 +15,7 @@ import hashlib
 import random
 from typing import Dict, Iterable, List, Sequence
 
-from .errors import DomainError, InvalidInputError, ResourceError, _check_positive_int
+from .errors import DomainError, ResourceError, _check_positive_int
 from .functions import (
     PiecewiseLinear,
     StepFunction,
@@ -184,9 +184,6 @@ def _skipped(case_id: int, inputs: dict, exc: ResourceError) -> dict:
     return _case(case_id, inputs, {"skipped": True, "reason": str(exc)}, 0.0, False)
 
 
-# Errors that converge's staging carries to the point where the unstaged loop
-# met them, so a row is skipped (or the run fails) with the same reason.
-_CARRIED = (ResourceError, InvalidInputError)
 #: Diminish cases whose images are built, then isolated in one batch.  A larger
 #: block shares the subdivision levels among more images but holds them all.
 _DIMINISH_BLOCK = 10
@@ -377,24 +374,13 @@ def run_convergence_study(
     violations: List[dict] = []
 
     for idx, n in enumerate(ns):
-        operands: list = []  # B_n f, B_n f - f, K_n f - f, built in the unstaged order
-        carried = None
         try:
-            operands.append(bernstein_of(f, n))
-            operands.append(subtract(operands[0], f))
-            operands.append(subtract(kantorovich_of(f, n), f))
-        except _CARRIED as exc:
-            carried = exc
-        sets = isolate_extrema_many([x for q in operands[1:] for x in q.pieces] + operands[:1])
-        try:
-            if len(operands) < 2:
-                raise carried
-            p, q_b = operands[:2]
+            p = bernstein_of(f, n)
+            q_b = subtract(p, f)
+            q_k = subtract(kantorovich_of(f, n), f)
+            sets = isolate_extrema_many([*q_b.pieces, *q_k.pieces, p])
             split = len(q_b.pieces)
             d_b = _norm_on_points(q_b, seq, _piecewise_critical_set(q_b, sets[:split]).points)
-            if len(operands) < 3:
-                raise carried
-            q_k = operands[2]
             d_k = _norm_on_points(q_k, seq, _piecewise_critical_set(q_k, sets[split:-1]).points)
             gap = abs(_norm_on_points(p, seq, _raised(sets[-1]).points) - norm_f)
         except ResourceError as exc:

@@ -14,21 +14,12 @@ from typing import Any, Dict, Mapping
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, ResourceError
+from .errors import DomainError, InvalidInputError, ResourceError, _check_number, _check_positive_int
 
 #: Largest prefix (in terms) any instance will materialize for partial sums.
 PREFIX_BUDGET = 1 << 22
 
 _FAMILIES = ("constant", "linear", "power", "nlog", "explicit")
-
-
-def _require_number(obj: Any, field: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise InvalidInputError("expected a number", field=field)
-    value = float(obj)
-    if not math.isfinite(value):
-        raise InvalidInputError("must be finite", field=field)
-    return value
 
 
 class LambdaSequence:
@@ -57,13 +48,13 @@ class LambdaSequence:
         if not isinstance(params, Mapping):
             raise InvalidInputError("expected an object", field="params")
         if family == "constant":
-            c = _require_number(params.get("c", 1.0), "params.c")
+            c = _check_number(params.get("c", 1.0), "params.c")
             if c <= 0:
                 raise InvalidInputError("must be positive", field="params.c")
             return {"c": c}
         if family == "linear":
-            a = _require_number(params.get("a", 1.0), "params.a")
-            b = _require_number(params.get("b", 0.0), "params.b")
+            a = _check_number(params.get("a", 1.0), "params.a")
+            b = _check_number(params.get("b", 0.0), "params.b")
             if a < 0:
                 raise InvalidInputError("slope must be nonnegative", field="params.a")
             if a + b <= 0:
@@ -74,7 +65,7 @@ class LambdaSequence:
         if family == "power":
             if "p" not in params:
                 raise InvalidInputError("missing exponent", field="params.p")
-            p = _require_number(params["p"], "params.p")
+            p = _check_number(params["p"], "params.p")
             if not 0 < p <= 1:
                 raise InvalidInputError("exponent must lie in (0, 1]", field="params.p")
             return {"p": p}
@@ -86,7 +77,7 @@ class LambdaSequence:
             raise InvalidInputError("expected a nonempty array", field="params.prefix")
         values = []
         for i, entry in enumerate(prefix):
-            v = _require_number(entry, f"params.prefix[{i}]")
+            v = _check_number(entry, f"params.prefix[{i}]")
             if v <= 0:
                 raise InvalidInputError("must be positive", field=f"params.prefix[{i}]")
             if values and v < values[-1]:
@@ -97,8 +88,8 @@ class LambdaSequence:
         tail = params.get("tail")
         if not isinstance(tail, Mapping):
             raise InvalidInputError("expected an object {a, b}", field="params.tail")
-        a = _require_number(tail.get("a", 0.0), "params.tail.a")
-        b = _require_number(tail.get("b", values[-1]), "params.tail.b")
+        a = _check_number(tail.get("a", 0.0), "params.tail.a")
+        b = _check_number(tail.get("b", values[-1]), "params.tail.b")
         if a < 0:
             raise InvalidInputError("tail slope must be nonnegative", field="params.tail.a")
         first_tail = a * (len(values) + 1) + b
@@ -154,11 +145,11 @@ class LambdaSequence:
 
     def term(self, n: int) -> float:
         """The n-th weight, 1-based.  n = 0 is outside the domain."""
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if isinstance(n, bool) or not isinstance(n, int):
             raise DomainError(f"index must be an integer, got {n!r}")
         if n < 1:
             raise DomainError(f"index must be >= 1, got {n}")
-        return self._base_term(int(n) + self._shift)
+        return self._base_term(n + self._shift)
 
     def _base_term(self, k: int) -> float:
         fam = self._family
@@ -177,8 +168,8 @@ class LambdaSequence:
         return p["tail"]["a"] * k + p["tail"]["b"]
 
     def terms(self, count: int) -> np.ndarray:
-        """Vector of term(1..count).  Positivity and monotonicity are asserted
-        on every materialized prefix.  For ``power`` and ``nlog`` numpy may round
+        """Vector of term(1..count), positive and nondecreasing as the
+        constructor's checks ensure.  For ``power`` and ``nlog`` numpy may round
         differently from ``term()`` (libm), by at most 2 ulp; other families agree
         exactly.  The solvers use ``term()``."""
         if count < 1:
@@ -206,10 +197,6 @@ class LambdaSequence:
             if in_prefix.any():
                 idx = (k[in_prefix] - 1).astype(np.intp)
                 arr[in_prefix] = prefix[idx]
-        if arr[0] <= 0 or (np.diff(arr) < 0).any():
-            raise InvalidInputError(
-                "materialized prefix is not positive nondecreasing", field="params"
-            )
         return arr
 
     def tail(self, m: int) -> "LambdaSequence":
@@ -229,19 +216,13 @@ class LambdaSequence:
     def reciprocal_sum(self, count: int) -> float:
         """Sum of 1/term(i) for i = 1..count, added left to right over
         ``terms(count)``."""
-        if count + self._shift > PREFIX_BUDGET:
-            raise ResourceError(
-                f"reciprocal sum over {count} terms exceeds the "
-                f"materialization budget of {PREFIX_BUDGET}"
-            )
         return float(np.cumsum(1.0 / self.terms(count))[-1])
 
     def shao_sablin_ratio(self, n: int) -> float:
         """Partial-sum ratio (sum_{i<=2n} 1/lam_i) / (sum_{i<=n} 1/lam_i)."""
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise DomainError(f"n must be a positive integer, got {n!r}")
-        top = self.reciprocal_sum(2 * int(n))
-        bottom = self.reciprocal_sum(int(n))
+        n = _check_positive_int(n, "n")
+        top = self.reciprocal_sum(2 * n)
+        bottom = self.reciprocal_sum(n)
         return top / bottom
 
     # -- serialization ----------------------------------------------------

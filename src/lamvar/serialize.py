@@ -13,10 +13,9 @@ error messages that name the offending field path.
 from __future__ import annotations
 
 import json
-import math
 from typing import Optional
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_number
 from .functions import (
     BernsteinPoly,
     PiecewiseLinear,
@@ -65,20 +64,10 @@ def _dump(obj, indent: Optional[int], level: int) -> str:
     return braces[0] + pad + ("," + pad).join(items) + "\n" + " " * (indent * level) + braces[1]
 
 
-def _number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidInputError(f"expected a number, got {value!r}", field=field)
-    value = float(value)
-    if not math.isfinite(value):
-        # json.loads accepts the NaN and Infinity literals
-        raise InvalidInputError("must be finite", field=field)
-    return value
-
-
 def _number_list(value, field: str) -> list:
     if not isinstance(value, list):
         raise InvalidInputError("expected a list of numbers", field=field)
-    return [_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
+    return [_check_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
 
 
 def function_from_json(obj):
@@ -95,7 +84,7 @@ def function_from_json(obj):
             if not isinstance(p, (list, tuple)) or len(p) != 2:
                 raise InvalidInputError("expected an [x, y] pair", field=f"points[{i}]")
             pairs.append(
-                (_number(p[0], f"points[{i}][0]"), _number(p[1], f"points[{i}][1]"))
+                (_check_number(p[0], f"points[{i}][0]"), _check_number(p[1], f"points[{i}][1]"))
             )
         return PiecewiseLinear(pairs)
     if kind == "step":

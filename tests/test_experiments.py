@@ -261,6 +261,10 @@ def test_outputs_match_pinned_digests():
     converge = run_convergence_study(
         random_plf(11, 6), LambdaSequence.linear(1.0, 0.0), [4, 16, 64, 256]
     )
+    # explicit weights, and a row skipped for its over-cap degree
+    skipping = run_convergence_study(
+        random_plf(13, 9), LambdaSequence.explicit([1.0, 2.0], 1.0, 1.0), [4, 16, 64, 70000]
+    )
     # isolated roots on both sides of the numpy cutover, up to degree 1023
     rng = random.Random(6)
     polys = [
@@ -274,11 +278,13 @@ def test_outputs_match_pinned_digests():
         "diminish": sha1(dumps(diminish.to_json(), indent=2)),
         "oracle": sha1(dumps(oracle, indent=2)),
         "converge": sha1(converge.to_csv()),
+        "converge_skipping": sha1(skipping.to_csv()),
         "roots": sha1(dumps(roots)),
     } == {
         "diminish": "09e4fb9d76d67818afbf1ecc84bf949484981ed2",
         "oracle": "671eb0d20094d697bed1b20ff25f80132ce74949",
         "converge": "f9638895d063104d0c8a7d9a16af71b822d78082",
+        "converge_skipping": "e21824cbe56b55c8ce8bb979c2420e65575d841c",
         "roots": "16af5b6d3b2c83808f6fc6f467cbcdda34a84286",
     }
 
@@ -411,9 +417,9 @@ def test_convergence_skipped_row_leaves_trends_unchecked():
     }
 
 
-def test_convergence_carries_row_errors(monkeypatch):
-    # converge builds a row's operands before it isolates them; an error met
-    # while building is raised or skipped where the row's own order meets it
+def test_convergence_row_errors(monkeypatch):
+    # a row is one unit: an overflow anywhere in it fails the run, a solver
+    # cap anywhere in it skips the row and the run goes on
     f = named_function("abs_mid")
     seq = LambdaSequence.linear(1.0, 0.0)
     schedule = [4, 16, 64]
@@ -430,8 +436,8 @@ def test_convergence_carries_row_errors(monkeypatch):
     with pytest.raises(InvalidInputError, match="fn: stand-in overflow"):
         run_convergence_study(f, seq, schedule)
 
-    # the Bernstein side's norm comes first in the row, so its cap skips the
-    # row before the carried error is reached, and the run goes on
+    # the overflow is met before any norm is solved, so a Bernstein-side cap
+    # in the same row does not hide it
     real_norm = lamvar.experiments._norm_on_points
 
     def norm_on_points(q, seq, pts):
@@ -440,6 +446,10 @@ def test_convergence_carries_row_errors(monkeypatch):
         return real_norm(q, seq, pts)
 
     monkeypatch.setattr(lamvar.experiments, "_norm_on_points", norm_on_points)
+    with pytest.raises(InvalidInputError, match="fn: stand-in overflow"):
+        run_convergence_study(f, seq, schedule)
+
+    monkeypatch.setattr(lamvar.experiments, "subtract", real_subtract)
     rep = run_convergence_study(f, seq, schedule)
     assert rep.cases[1]["outputs"] == {"skipped": True, "reason": "stand-in cap"}
     assert [rep.cases[0], rep.cases[2]] == [plain.cases[0], plain.cases[2]]

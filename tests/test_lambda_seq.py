@@ -167,7 +167,7 @@ def test_budget_guard():
         seq.terms(PREFIX_BUDGET + 1)
     with pytest.raises(ResourceError):
         seq.reciprocal_sum(PREFIX_BUDGET + 1)
-    with pytest.raises(ResourceError, match="reciprocal sum over 4194300 terms"):
+    with pytest.raises(ResourceError, match=r"prefix of 4194300 terms \(shift 5\)"):
         seq.tail(5).reciprocal_sum(PREFIX_BUDGET - 4)
 
 
@@ -178,6 +178,11 @@ def test_count_and_ratio_guards():
     for n in (0, True):
         with pytest.raises(DomainError, match="n must be a positive integer"):
             LambdaSequence.linear().shao_sablin_ratio(n)
+    # numpy integers are refused like any other non-int
+    with pytest.raises(DomainError, match="index must be an integer"):
+        LambdaSequence.linear().term(np.int64(2))
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        LambdaSequence.linear().shao_sablin_ratio(np.int64(3))
 
 
 def test_validation_field_paths():
@@ -197,7 +202,7 @@ def test_validation_field_paths():
         LambdaSequence.explicit([5.0], 1.0, 0.0)
     with pytest.raises(InvalidInputError, match="family"):
         LambdaSequence("cubic", {})
-    with pytest.raises(InvalidInputError, match="params.c: expected a number"):
+    with pytest.raises(InvalidInputError, match="params.c: expected a number, got '1'"):
         LambdaSequence("constant", {"c": "1"})
     with pytest.raises(InvalidInputError, match="params.c: expected a number"):
         LambdaSequence("constant", {"c": True})
