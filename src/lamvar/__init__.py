@@ -14,8 +14,8 @@ from .functions import (
     PiecewisePolynomial,
     StepFunction,
     critical_points,
+    critical_points_many,
     isolate_extrema,
-    isolate_extrema_many,
     named_function,
     subtract,
 )
@@ -72,9 +72,9 @@ __all__ = [
     "bernstein_of",
     "check_continuity_set",
     "critical_points",
+    "critical_points_many",
     "grid_oracle",
     "isolate_extrema",
-    "isolate_extrema_many",
     "kantorovich_aux",
     "kantorovich_of",
     "lambda_distance",

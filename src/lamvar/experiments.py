@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DomainError, ResourceError, _check_positive_int
 from .functions import (
     PiecewiseLinear,
     StepFunction,
-    _piecewise_critical_set,
     _raised,
     critical_points,
-    isolate_extrema_many,
+    critical_points_many,
     named_function,
     subtract,
 )
@@ -62,10 +61,6 @@ def family_sequence(name: str) -> LambdaSequence:
             f"unknown family {name!r}; choose from {sorted(_FAMILY_BUILDERS)}"
         ) from None
     return builder()
-
-
-def _case_seed(seed: int, index: int) -> int:
-    return seed * 1_000_003 + index
 
 
 def _digest(obj) -> str:
@@ -155,6 +150,15 @@ def random_plf(
     return PiecewiseLinear(list(zip(xs, ys)))
 
 
+def _draw_case(seed: int, index: int, max_breakpoints: int) -> Tuple[int, PiecewiseLinear]:
+    """Seed and random function of case index of a campaign seeded with seed;
+    the function has 2 to max_breakpoints breakpoints."""
+    cseed = seed * 1_000_003 + index
+    rng = random.Random(cseed)
+    bc = rng.randint(2, max_breakpoints)
+    return cseed, random_plf(rng.randrange(2 ** 63), bc)
+
+
 def _operator_list(operators: str):
     ops = {
         "bernstein": (("bernstein", bernstein_of),),
@@ -232,13 +236,10 @@ def run_diminish_campaign(
     for start in range(0, cases, _DIMINISH_BLOCK):
         block = []
         for index in range(start, min(cases, start + _DIMINISH_BLOCK)):
-            cseed = _case_seed(seed, index)
-            rng = random.Random(cseed)
-            bc = rng.randint(2, DIMINISH_MAX_BREAKPOINTS)
-            f = random_plf(rng.randrange(2 ** 63), bc)
+            cseed, f = _draw_case(seed, index, DIMINISH_MAX_BREAKPOINTS)
             inputs = {"seed": cseed, "points": [[x, y] for x, y in f.breakpoints]}
             block.append((index, f, inputs, [op(f, n) for n, _, op in steps]))
-        crits = iter(isolate_extrema_many([p for case in block for p in case[3]]))
+        crits = iter(critical_points_many([p for case in block for p in case[3]]))
         for index, f, inputs, images in block:
             sets = [next(crits) for _ in images]
             try:
@@ -378,11 +379,10 @@ def run_convergence_study(
             p = bernstein_of(f, n)
             q_b = subtract(p, f)
             q_k = subtract(kantorovich_of(f, n), f)
-            sets = isolate_extrema_many([*q_b.pieces, *q_k.pieces, p])
-            split = len(q_b.pieces)
-            d_b = _norm_on_points(q_b, seq, _piecewise_critical_set(q_b, sets[:split]).points)
-            d_k = _norm_on_points(q_k, seq, _piecewise_critical_set(q_k, sets[split:-1]).points)
-            gap = abs(_norm_on_points(p, seq, _raised(sets[-1]).points) - norm_f)
+            crit_b, crit_k, crit_p = critical_points_many([q_b, q_k, p])
+            d_b = _norm_on_points(q_b, seq, _raised(crit_b).points)
+            d_k = _norm_on_points(q_k, seq, _raised(crit_k).points)
+            gap = abs(_norm_on_points(p, seq, _raised(crit_p).points) - norm_f)
         except ResourceError as exc:
             records.append(_skipped(idx, {"n": n}, exc))
             continue
@@ -425,10 +425,7 @@ def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
     violations: List[dict] = []
 
     for index in range(cases):
-        cseed = _case_seed(seed, index)
-        rng = random.Random(cseed)
-        bc = rng.randint(2, 9)
-        f = random_plf(rng.randrange(2 ** 63), bc)
+        cseed, f = _draw_case(seed, index, 9)
         name, seq = seqs[index % len(seqs)]
         exact = lambda_variation(f, seq).value
         oracle = grid_oracle(f, seq, critical_points(f).points)

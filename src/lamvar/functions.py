@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from functools import singledispatch
-from typing import Iterable, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -282,7 +282,7 @@ class BernsteinPoly:
 
     def _local(self, x: float) -> float:
         t = (x - self.a) / (self.b - self.a)
-        if t < -MERGE_TOL or t > 1.0 + MERGE_TOL:
+        if not -MERGE_TOL <= t <= 1.0 + MERGE_TOL:  # NaN too
             raise DomainError(f"argument {x!r} lies outside [{self.a}, {self.b}]")
         return min(1.0, max(0.0, t))
 
@@ -388,14 +388,16 @@ class PiecewisePolynomial:
 
 class CriticalSet:
     """Sorted, deduplicated points of varying monotonicity with source tags; a
-    merged point keeps the tag of its first entry in (stable) position order."""
+    merged point keeps the tag of its first entry in (stable) position order.
+    The one merge at MERGE_TOL: candidate lists of bare points use it too,
+    passing each point as its own tag."""
 
     __slots__ = ("points", "tags")
 
-    def __init__(self, entries: Iterable[Tuple[float, str]]):
+    def __init__(self, entries: Iterable[Tuple[float, object]]):
         points: List[float] = []
-        tags: List[str] = []
-        for x, tag in sorted(entries, key=lambda e: e[0]):
+        tags: List[object] = []
+        for x, tag in sorted(entries, key=itemgetter(0)):
             if points and x - points[-1] <= MERGE_TOL:
                 continue
             points.append(x)
@@ -456,8 +458,8 @@ def _halve(c: np.ndarray, cols: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> List[object]:
-    """Per (dcoeffs, tol) job, the parameters in (0,1) where its
-    Bernstein-coefficient polynomial changes sign, or its ResourceError.
+    """Per (dcoeffs, tol) job of a nonempty list, the parameters in (0,1) where
+    its Bernstein-coefficient polynomial changes sign, or its ResourceError.
 
     Touch points (no sign change) are excluded: a reported root needs a
     sign-certified panel on each side, with opposite signs.  Subdivision is
@@ -471,8 +473,6 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
     frontier; its error names its leftmost panel of that level.
     """
     k = len(jobs)
-    if not k:
-        return []
     lens = np.array([len(dc) for dc, _ in jobs])
     c = np.full((lens.max(), k), np.nan)  # a column's rows past its length are NaN
     for i, (dc, _) in enumerate(jobs):
@@ -539,31 +539,74 @@ def _derivative_job(p: BernsteinPoly):
     return dc, min(0.25, MERGE_TOL / (p.b - p.a))
 
 
-def isolate_extrema_many(polys: Sequence[BernsteinPoly]) -> List[object]:
-    """isolate_extrema of every polynomial in one batch: per polynomial, its
-    CriticalSet or the exception isolate_extrema would raise for it (the
-    overflow InvalidInputError or the panel-budget ResourceError).  Never
-    raises for the batch; the result of each does not depend on its mates."""
-    out: List[object] = [()] * len(polys)  # local roots, then the set; or an exception
+# -- critical points ------------------------------------------------------
+
+
+def critical_points_many(fs: Sequence[object]) -> List[object]:
+    """critical_points of every function model in one call: per function, its
+    CriticalSet or the exception critical_points would raise for it.  The
+    Bernstein pieces of every function share one subdivision frontier, and a
+    function with none builds no job.  Never raises for the batch; the result
+    of each function does not depend on its mates."""
+    pieces: List[BernsteinPoly] = []
+    for f in fs:
+        if isinstance(f, BernsteinPoly):
+            pieces.append(f)
+        elif isinstance(f, PiecewisePolynomial):
+            pieces += f.pieces
+    found: List[object] = [()] * len(pieces)  # local roots, then the set; or an exception
     jobs = {}
-    for i, p in enumerate(polys):
+    for i, p in enumerate(pieces):
         try:
             job = _derivative_job(p)
         except InvalidInputError as exc:
-            out[i] = exc
+            found[i] = exc
             continue
         if job is not None:
             jobs[i] = job
-    for i, roots in zip(jobs, _sign_change_params_many(list(jobs.values()))):
-        out[i] = roots
-    for i, p in enumerate(polys):
-        if not isinstance(out[i], Exception):
-            width = p.b - p.a
-            out[i] = CriticalSet(
-                [(p.a, TAG_ENDPOINT), (p.b, TAG_ENDPOINT)]
-                + [(p.a + t * width, TAG_ROOT) for t in out[i]]
-            )
-    return out
+    if jobs:
+        for i, roots in zip(jobs, _sign_change_params_many(list(jobs.values()))):
+            found[i] = roots
+    for i, p in enumerate(pieces):
+        if not isinstance(found[i], Exception):
+            ends = [(p.a, TAG_ENDPOINT), (p.b, TAG_ENDPOINT)]
+            found[i] = CriticalSet(ends + [(p.a + t * (p.b - p.a), TAG_ROOT) for t in found[i]])
+    piece_sets = iter(found)
+    return [_critical_set(f, piece_sets) for f in fs]
+
+
+def _critical_set(f, piece_sets: Iterator[object]) -> object:
+    """f's CriticalSet, or the exception critical_points raises for it; the
+    sets of f's Bernstein pieces are the next ones of piece_sets."""
+    if isinstance(f, BernsteinPoly):
+        return next(piece_sets)
+    entries = [(0.0, TAG_ENDPOINT), (1.0, TAG_ENDPOINT)]
+    if isinstance(f, PiecewiseLinear):
+        # the xs increase, so a slope has the sign of its increment
+        for i in range(1, len(f.ys) - 1):
+            a, b, c = f.ys[i - 1 : i + 2]
+            if (b > a) - (b < a) != (c > b) - (c < b):
+                entries.append((f.xs[i], TAG_BREAKPOINT))
+    elif isinstance(f, StepFunction):
+        entries += [(c, TAG_BREAKPOINT) for c in f.cuts]
+        entries += [(m, TAG_REPRESENTATIVE) for m in f.piece_midpoints()]
+    elif isinstance(f, PiecewisePolynomial):
+        for piece, crit in zip(f.pieces, [next(piece_sets) for _ in f.pieces]):
+            if isinstance(crit, Exception):
+                return crit  # the first failing piece's, as isolating them in order raises
+            if piece.a != 0.0:
+                entries.append((piece.a, TAG_BREAKPOINT))
+            # the first and last points stand for the piece's ends (a root within
+            # MERGE_TOL of an end has merged into it); the roots lie between them
+            entries += [(x, TAG_ROOT) for x in crit.points[1:-1]]
+    else:
+        return InvalidInputError(f"unsupported function type {type(f).__name__}")
+    return CriticalSet(entries)
+
+
+def critical_points(f) -> CriticalSet:
+    """Points of varying monotonicity (plus endpoints) for a function model."""
+    return _raised(critical_points_many([f])[0])
 
 
 def isolate_extrema(p: BernsteinPoly) -> CriticalSet:
@@ -572,7 +615,7 @@ def isolate_extrema(p: BernsteinPoly) -> CriticalSet:
     Roots of the derivative with even multiplicity (coefficient sign
     variations but no actual sign change) are excluded.
     """
-    return _raised(isolate_extrema_many([p])[0])
+    return _raised(critical_points_many([p])[0])
 
 
 def _raised(result):
@@ -580,60 +623,6 @@ def _raised(result):
     if isinstance(result, Exception):
         raise result
     return result
-
-
-# -- critical points ------------------------------------------------------
-
-
-@singledispatch
-def critical_points(f) -> CriticalSet:
-    """Points of varying monotonicity (plus endpoints) for a function model."""
-    raise InvalidInputError(f"unsupported function type {type(f).__name__}")
-
-
-@critical_points.register
-def _(f: PiecewiseLinear) -> CriticalSet:
-    entries = [(0.0, TAG_ENDPOINT), (1.0, TAG_ENDPOINT)]
-    slopes = [
-        (f.ys[i + 1] - f.ys[i]) / (f.xs[i + 1] - f.xs[i]) for i in range(len(f.xs) - 1)
-    ]
-    sign = lambda s: (s > 0) - (s < 0)
-    for i in range(1, len(slopes)):
-        if sign(slopes[i]) != sign(slopes[i - 1]):
-            entries.append((f.xs[i], TAG_BREAKPOINT))
-    return CriticalSet(entries)
-
-
-@critical_points.register
-def _(f: StepFunction) -> CriticalSet:
-    entries = [(0.0, TAG_ENDPOINT), (1.0, TAG_ENDPOINT)]
-    entries.extend((c, TAG_BREAKPOINT) for c in f.cuts)
-    entries.extend((m, TAG_REPRESENTATIVE) for m in f.piece_midpoints())
-    return CriticalSet(entries)
-
-
-@critical_points.register
-def _(f: BernsteinPoly) -> CriticalSet:
-    return isolate_extrema(f)
-
-
-@critical_points.register
-def _(f: PiecewisePolynomial) -> CriticalSet:
-    return _piecewise_critical_set(f, isolate_extrema_many(f.pieces))
-
-
-def _piecewise_critical_set(f: PiecewisePolynomial, piece_sets: Sequence[object]) -> CriticalSet:
-    """The critical set of f from isolate_extrema_many of its pieces; raises
-    the first piece's exception, as isolating the pieces in order would."""
-    entries: List[Tuple[float, str]] = [(0.0, TAG_ENDPOINT), (1.0, TAG_ENDPOINT)]
-    for piece, crit in zip(f.pieces, piece_sets):
-        crit = _raised(crit)
-        if piece.a != 0.0:
-            entries.append((piece.a, TAG_BREAKPOINT))
-        # the first and last points stand for the piece's ends (a root within
-        # MERGE_TOL of an end has merged into it); the roots lie between them
-        entries.extend((x, TAG_ROOT) for x in crit.points[1:-1])
-    return CriticalSet(entries)
 
 
 # -- combinations ---------------------------------------------------------

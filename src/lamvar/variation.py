@@ -27,7 +27,7 @@ from .errors import (
     ResourceError,
     _check_positive_int,
 )
-from .functions import MERGE_TOL, PiecewiseLinear, critical_points, subtract
+from .functions import MERGE_TOL, CriticalSet, PiecewiseLinear, critical_points, subtract
 from .lambda_seq import LambdaSequence
 
 #: Exact-solver cap on candidate points (subset search is exponential).
@@ -121,13 +121,14 @@ def sigma(f, system, seq: LambdaSequence) -> float:
 
 
 def best_assignment(values: Sequence[float], seq: LambdaSequence) -> float:
-    """Optimal weighted sum of nonnegative values: sort descending (ties by
+    """Optimal weighted sum of nonnegative finite values: sort descending (ties by
     original index) and divide by term(1), term(2), ... in that order.  This is
     the rearrangement-optimal injection of values into weight ranks."""
     vals = [float(v) for v in values]
     for i, v in enumerate(vals):
-        if v < 0.0:
-            raise InvalidInputError("values must be nonnegative", field=f"values[{i}]")
+        if not 0.0 <= v < math.inf:  # NaN too
+            reason = "values must be nonnegative" if v < 0.0 else "values must be finite"
+            raise InvalidInputError(reason, field=f"values[{i}]")
     total = 0.0  # not sum(): from CPython 3.12 it compensates, changing the bits
     for rank, i in enumerate(_rank_order(vals)):
         total += vals[i] / seq.term(rank + 1)
@@ -239,16 +240,8 @@ def lambda_variation(f, seq: LambdaSequence) -> VariationResult:
 def lambda_variation_on_set(f, seq: LambdaSequence, points: Iterable[float]) -> VariationResult:
     """Weighted variation restricted to interval systems with endpoints in the
     given point set."""
-    return _solve_over_points(f, seq, _dedup_sorted(sorted(float(x) for x in points)))
-
-
-def _dedup_sorted(xs: Sequence[float]) -> List[float]:
-    out: List[float] = []
-    for x in xs:
-        if out and x - out[-1] <= MERGE_TOL:
-            continue
-        out.append(x)
-    return out
+    xs = [float(x) for x in points]
+    return _solve_over_points(f, seq, CriticalSet(zip(xs, xs)).points)
 
 
 # -- brute-force oracle ---------------------------------------------------
@@ -277,7 +270,8 @@ def grid_oracle(f, seq: LambdaSequence, grid: Iterable[float]) -> float:
     read once per call and the permutations of one subset are evaluated as
     array columns.
     """
-    pts = _dedup_sorted(sorted(float(x) for x in grid))
+    xs = [float(x) for x in grid]
+    pts = CriticalSet(zip(xs, xs)).points
     n = len(pts)
     if n > ORACLE_POINT_CAP:
         raise ResourceError(f"grid of {n} points exceeds the oracle cap of {ORACLE_POINT_CAP}")
@@ -473,7 +467,8 @@ def restricted_variation(f, seq: LambdaSequence, delta: float, resolution: int =
         for s in (x - delta, x + delta):
             if 0.0 <= s <= 1.0:
                 cands.add(s)
-    pts = _dedup_sorted(sorted(cands))
+    xs = list(cands)
+    pts = CriticalSet(zip(xs, xs)).points
     if len(pts) > RESTRICTED_CANDIDATE_CAP:
         raise ResourceError(
             f"{len(pts)} candidate points exceed the restricted-solver cap of "

@@ -15,9 +15,10 @@ from lamvar import (
     PiecewisePolynomial,
     ResourceError,
     StepFunction,
+    bernstein_of,
     critical_points,
+    critical_points_many,
     isolate_extrema,
-    isolate_extrema_many,
     named_function,
     subtract,
 )
@@ -240,6 +241,8 @@ def test_bernstein_validation():
         BernsteinPoly([1.0], (0.5, 0.25))
     with pytest.raises(DomainError):
         BernsteinPoly([0.0, 1.0], (0.25, 0.75)).eval(0.1)
+    with pytest.raises(DomainError, match="argument nan lies outside"):
+        BernsteinPoly([0.25, 1.0, -0.5]).eval(math.nan)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidInputError, match=r"coeffs\[1\]: must be finite"):
             BernsteinPoly([0.0, bad, 1.0])
@@ -383,7 +386,7 @@ def test_batch_carries_each_polynomial_error(monkeypatch):
     monkeypatch.setattr(functions, "_MAX_PANELS", 62)
     ordinary = BernsteinPoly([0.0, 1.0, 0.0])  # 3 panels: [0, 1] and its halves
     overflow = BernsteinPoly([0.0, 1e308, -1e308])
-    stalled, crit, overflowed = isolate_extrema_many([_FLAT_RIGHT_POLY, ordinary, overflow])
+    stalled, crit, overflowed = critical_points_many([_FLAT_RIGHT_POLY, ordinary, overflow])
     assert isinstance(stalled, ResourceError)
     assert re.search(_FLAT_RIGHT_STALL, str(stalled))
     assert crit.points == (0.0, 0.5, 1.0)
@@ -392,7 +395,7 @@ def test_batch_carries_each_polynomial_error(monkeypatch):
     with pytest.raises(ResourceError, match=_FLAT_RIGHT_STALL):
         isolate_extrema(_FLAT_RIGHT_POLY)
     monkeypatch.setattr(functions, "_MAX_PANELS", 63)
-    assert isolate_extrema_many([_FLAT_RIGHT_POLY])[0].points[1] == 0.22522299969568849
+    assert critical_points_many([_FLAT_RIGHT_POLY])[0].points[1] == 0.22522299969568849
 
 
 def test_stall_message_does_not_depend_on_the_batch(monkeypatch):
@@ -403,12 +406,12 @@ def test_stall_message_does_not_depend_on_the_batch(monkeypatch):
     mirror = BernsteinPoly(_FLAT_RIGHT_POLY.coeffs[::-1])  # stalls at the same level
     wavy = BernsteinPoly([0.0, 1.0, -1.0, 1.0, -1.0, 1.0, 0.5])  # stalls at another
     stalled = [_FLAT_RIGHT_POLY, mirror, wavy]
-    alone = [str(isolate_extrema_many([p])[0]) for p in stalled]
+    alone = [str(critical_points_many([p])[0]) for p in stalled]
     assert re.search(_FLAT_RIGHT_STALL, alone[0])
     assert all(msg.startswith("derivative sign analysis passed") for msg in alone)
     mates = [BernsteinPoly([0.0, 1.0, 0.0]), BernsteinPoly([0.3, -0.2] * 40)]
     for batch in (stalled + mates, mates + stalled[::-1]):
-        got = isolate_extrema_many(batch)
+        got = critical_points_many(batch)
         assert [str(got[batch.index(p)]) for p in stalled] == alone
 
 
@@ -428,10 +431,39 @@ def _bits(crit):
 @given(st.lists(_POLYS, min_size=1, max_size=12), st.lists(_POLYS, max_size=4))
 def test_isolation_does_not_depend_on_the_batch(polys, mates):
     alone = [_bits(isolate_extrema(p)) for p in polys]
-    assert [_bits(c) for c in isolate_extrema_many(polys)] == alone
-    assert [_bits(c) for c in isolate_extrema_many(polys[::-1])] == alone[::-1]
-    mixed = isolate_extrema_many(mates + polys + mates)
+    assert [_bits(c) for c in critical_points_many(polys)] == alone
+    assert [_bits(c) for c in critical_points_many(polys[::-1])] == alone[::-1]
+    mixed = critical_points_many(mates + polys + mates)
     assert [_bits(c) for c in mixed[len(mates) : len(mates) + len(polys)]] == alone
+
+
+def test_critical_points_many_matches_critical_points(monkeypatch):
+    # every model in one batch: each entry is what critical_points gives or raises
+    monkeypatch.setattr(functions, "_MAX_PANELS", 62)
+    hat = named_function("hat")
+    flat_right = BernsteinPoly(_FLAT_RIGHT_POLY.coeffs, (0.5, 1.0))
+    second_stalls = PiecewisePolynomial([BernsteinPoly([0.0, 1.0], (0.0, 0.5)), flat_right])
+    batch = [
+        PiecewiseLinear([(0.0, 0.0), (1 / 3, 1.0), (2 / 3, 0.0), (1.0, 1.0)]),
+        StepFunction([0.5], [0.0, 1.0], [0.5]),
+        BernsteinPoly([0.0, 1.0, 0.0]),
+        subtract(bernstein_of(hat, 64), hat),
+        _FLAT_RIGHT_POLY,
+        BernsteinPoly([0.0, 1e308, -1e308]),
+        0.5,
+        second_stalls,
+    ]
+    got = critical_points_many(batch)
+    for f, crit in zip(batch, got):
+        try:
+            alone = critical_points(f)
+        except (InvalidInputError, ResourceError) as exc:
+            assert (type(crit), str(crit)) == (type(exc), str(exc))
+        else:
+            assert _bits(crit) == _bits(alone)
+    kinds = [CriticalSet] * 4 + [ResourceError, InvalidInputError, InvalidInputError, ResourceError]
+    assert [type(crit) for crit in got] == kinds
+    assert str(got[-1]) == str(critical_points_many([flat_right])[0])
 
 
 def _reference_sign_change_params(dcoeffs, tol):
@@ -479,9 +511,9 @@ def test_split_chunks_keep_the_bits(monkeypatch):
     rng = random.Random(9)
     degrees = (1, 5, 12, 49, 64, 100)
     polys = [BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)]) for n in degrees]
-    expected = [_bits(c) for c in isolate_extrema_many(polys * 2)]
+    expected = [_bits(c) for c in critical_points_many(polys * 2)]
     monkeypatch.setattr(functions, "_SPLIT_COEFFS", 200)  # 2 to 100 columns a chunk
-    assert [_bits(c) for c in isolate_extrema_many(polys * 2)] == expected
+    assert [_bits(c) for c in critical_points_many(polys * 2)] == expected
 
 
 @pytest.mark.parametrize(

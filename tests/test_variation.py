@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -143,6 +144,9 @@ def test_best_assignment_matches_permutation_enumeration():
 def test_best_assignment_rejects_negative():
     with pytest.raises(InvalidInputError, match=r"values\[1\]"):
         best_assignment([0.5, -0.1], SEQ_N)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match=r"values\[0\]: values must be finite"):
+            best_assignment([bad, 1.0], SEQ_N)
 
 
 # -- exact solver ----------------------------------------------------------
@@ -228,6 +232,8 @@ def test_variation_on_set():
     # duplicate points collapse
     res2 = lambda_variation_on_set(ident, SEQ_N, [0.0, 0.5, 0.5 + 1e-14, 1.0])
     assert res2.value == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(DomainError, match="argument nan lies outside"):
+        lambda_variation_on_set(BernsteinPoly([0.25, 1.0, -0.5]), SEQ_N, [0.0, math.nan, 1.0])
 
 
 def test_tail_variation_values_and_monotonicity():
