@@ -12,11 +12,9 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Mapping
 
-import numpy as np
-
 from .errors import DomainError, InvalidInputError, ResourceError, _check_number, _check_positive_int
 
-#: Largest prefix (in terms) any instance will materialize for partial sums.
+#: Most reciprocals, shift included, a partial sum may add (a few seconds).
 PREFIX_BUDGET = 1 << 22
 
 _FAMILIES = ("constant", "linear", "power", "nlog", "explicit")
@@ -167,38 +165,6 @@ class LambdaSequence:
             return prefix[k - 1]
         return p["tail"]["a"] * k + p["tail"]["b"]
 
-    def terms(self, count: int) -> np.ndarray:
-        """Vector of term(1..count), positive and nondecreasing as the
-        constructor's checks ensure.  For ``power`` and ``nlog`` numpy may round
-        differently from ``term()`` (libm), by at most 2 ulp; other families agree
-        exactly.  The solvers use ``term()``."""
-        if count < 1:
-            raise DomainError(f"count must be >= 1, got {count}")
-        if count + self._shift > PREFIX_BUDGET:
-            raise ResourceError(
-                f"prefix of {count} terms (shift {self._shift}) exceeds the "
-                f"materialization budget of {PREFIX_BUDGET}"
-            )
-        k = np.arange(1 + self._shift, count + self._shift + 1, dtype=np.float64)
-        fam = self._family
-        p = self._params
-        if fam == "constant":
-            arr = np.full(count, p["c"])
-        elif fam == "linear":
-            arr = p["a"] * k + p["b"]
-        elif fam == "power":
-            arr = k ** p["p"]
-        elif fam == "nlog":
-            arr = k * np.log(k + 1.0)
-        else:
-            prefix = np.asarray(p["prefix"], dtype=np.float64)
-            arr = p["tail"]["a"] * k + p["tail"]["b"]
-            in_prefix = k <= len(prefix)
-            if in_prefix.any():
-                idx = (k[in_prefix] - 1).astype(np.intp)
-                arr[in_prefix] = prefix[idx]
-        return arr
-
     def tail(self, m: int) -> "LambdaSequence":
         """The sequence with its first m terms dropped.  Tails compose additively."""
         if isinstance(m, bool) or not isinstance(m, int) or m < 0:
@@ -214,9 +180,24 @@ class LambdaSequence:
     # -- reciprocal sums --------------------------------------------------
 
     def reciprocal_sum(self, count: int) -> float:
-        """Sum of 1/term(i) for i = 1..count, added left to right over
-        ``terms(count)``."""
-        return float(np.cumsum(1.0 / self.terms(count))[-1])
+        """Sum of 1/term(i) for i = 1..count, added left to right.  A sum that
+        overflows, or is 0 because every weight overflows, is refused."""
+        if count < 1:
+            raise DomainError(f"count must be >= 1, got {count}")
+        if count + self._shift > PREFIX_BUDGET:
+            raise ResourceError(
+                f"prefix of {count} terms (shift {self._shift}) exceeds the "
+                f"materialization budget of {PREFIX_BUDGET}"
+            )
+        total = 0.0
+        for k in range(self._shift + 1, self._shift + count + 1):
+            total += 1.0 / self._base_term(k)
+        if not 0.0 < total < math.inf:
+            raise InvalidInputError(
+                f"the sum of 1/term(i) for i = 1..{count} is {total!r}, not finite and positive",
+                field="lambda",
+            )
+        return total
 
     def shao_sablin_ratio(self, n: int) -> float:
         """Partial-sum ratio (sum_{i<=2n} 1/lam_i) / (sum_{i<=n} 1/lam_i)."""

@@ -344,6 +344,23 @@ def test_shao_sablin_cli(capsys, files):
     assert [r["n"] for r in ratios] == [1, 10, 100]
 
 
+@pytest.mark.parametrize("weights", [
+    # reciprocals that overflow to inf
+    '{"family": "constant", "params": {"c": 1e-320}}',
+    '{"family": "explicit", "params": {"prefix": [1e-310, 1.0], "tail": {"a": 1.0, "b": 0.0}}}',
+    # weights that overflow to inf, so every reciprocal is 0
+    '{"family": "linear", "params": {"a": 1e308, "b": 1e308}}',
+    '{"family": "linear", "params": {"a": 1e305, "b": 0}, "shift": 2000}',
+])
+def test_shao_sablin_refuses_sum_that_is_not_finite_and_positive(capsys, tmp_path, weights):
+    path = tmp_path / "lambda.json"
+    path.write_text(weights)
+    code, out, err = run(capsys, ["shao-sablin", "--lambda", str(path), "--points", "100"])
+    assert code == 2
+    assert out == ""
+    assert "lambda: the sum of 1/term(i) for i = 1..200 is" in err
+
+
 def test_oracle_check_cli(capsys, files):
     code, out, _ = run(capsys, ["oracle-check", "--cases", "5"])
     assert code == 0

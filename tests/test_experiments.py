@@ -273,6 +273,16 @@ def test_outputs_match_pinned_digests():
     ]
     polys += [bernstein_of(random_plf(n, 5), n) for n in (48, 49, 200, 1023)]
     roots = [isolate_extrema(p).points for p in polys]
+    shao_sablin = [
+        [seq.reciprocal_sum(n), seq.shao_sablin_ratio(n)]
+        for base in (
+            LambdaSequence.constant(3.0),
+            LambdaSequence.linear(2.0, 1.0),
+            LambdaSequence.explicit([1.0, 2.0, 2.0, 5.0], 0.5, 3.0),
+        )
+        for seq in (base, base.tail(7))
+        for n in (1, 2, 3, 10, 100, 1000, 4096)
+    ]
     assert len(oracle) == 24
     assert {
         "diminish": sha1(dumps(diminish.to_json(), indent=2)),
@@ -280,12 +290,14 @@ def test_outputs_match_pinned_digests():
         "converge": sha1(converge.to_csv()),
         "converge_skipping": sha1(skipping.to_csv()),
         "roots": sha1(dumps(roots)),
+        "shao_sablin": sha1(dumps(shao_sablin)),
     } == {
         "diminish": "09e4fb9d76d67818afbf1ecc84bf949484981ed2",
         "oracle": "671eb0d20094d697bed1b20ff25f80132ce74949",
         "converge": "f9638895d063104d0c8a7d9a16af71b822d78082",
         "converge_skipping": "e21824cbe56b55c8ce8bb979c2420e65575d841c",
         "roots": "16af5b6d3b2c83808f6fc6f467cbcdda34a84286",
+        "shao_sablin": "49ccd36ebe87bdb787c1ace0e056f3553bd347b6",
     }
 
 # -- continuity-set check ------------------------------------------------
