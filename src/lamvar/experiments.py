@@ -28,8 +28,12 @@ from .functions import (
 from .lambda_seq import LambdaSequence
 from .operators import _check_degree, bernstein_of, kantorovich_of
 from .serialize import dumps, format_float
+from . import variation
 from .variation import (
+    _candidate_values,
     _norm_on_points,
+    _subset_search,
+    _weights,
     lambda_norm,
     lambda_variation,
     lambda_variation_on_set,
@@ -207,7 +211,9 @@ def run_diminish_campaign(
     image polynomial on its own critical set.  margin = V(f) - V(op_n f);
     a margin below -DIMINISH_TOLERANCE is a violation.  The images of
     _DIMINISH_BLOCK cases are built first and their critical sets isolated
-    in one batch; the report does not depend on it.  Functions have 2 to
+    in one batch; the report does not depend on it.  Each function is
+    evaluated once at its critical set and its values are searched once per
+    family, with weights built once per campaign.  Functions have 2 to
     DIMINISH_MAX_BREAKPOINTS breakpoints.  Solver resource errors skip the
     whole case, margins and violations included, and are counted, not fatal.
     A degree above the degree cap is refused before the first case.
@@ -219,6 +225,9 @@ def run_diminish_campaign(
     if not seqs:
         raise DomainError("lambda_families must not be empty")
     _check_degree(n_max)
+    # enough weights for any solve under the solver cap; a search reads only
+    # as many as its points need
+    weights = [(name, _weights(seq, variation.SOLVER_POINT_CAP - 1)) for name, seq in seqs]
 
     config = {
         "seed": seed,
@@ -243,12 +252,13 @@ def run_diminish_campaign(
         for index, f, inputs, images in block:
             sets = [next(crits) for _ in images]
             try:
-                base = {name: lambda_variation(f, seq).value for name, seq in seqs}
+                vals = _candidate_values(f, critical_points(f).points)
+                base = {name: _subset_search(vals, w)[0] for name, w in weights}
                 margins = []  # (margin, op, n, family) in loop order
                 for (n, op_name, _), p, crit in zip(steps, images, sets):
-                    pts = _raised(crit).points
-                    for name, seq in seqs:
-                        margin = base[name] - lambda_variation_on_set(p, seq, pts).value
+                    vals = _candidate_values(p, _raised(crit).points)
+                    for name, w in weights:
+                        margin = base[name] - _subset_search(vals, w)[0]
                         margins.append((margin, op_name, n, name))
             except ResourceError as exc:
                 records.append(_skipped(index, inputs, exc))

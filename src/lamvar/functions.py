@@ -117,10 +117,13 @@ class PiecewiseLinear:
     __call__ = eval
 
     def integrate(self, a: float, b: float) -> float:
-        """Exact integral over [a, b] by trapezoids on each linear piece."""
+        """Exact integral over [a, b] by trapezoids on each linear piece that
+        meets it, added left to right."""
         _check_bounds(a, b)
         total = 0.0
-        for i in range(len(self.xs) - 1):
+        for i in range(bisect.bisect_right(self.xs, a) - 1, len(self.xs) - 1):
+            if self.xs[i] >= b:
+                break
             lo = max(a, self.xs[i])
             hi = min(b, self.xs[i + 1])
             if hi > lo:

@@ -182,6 +182,8 @@ class LambdaSequence:
     def reciprocal_sum(self, count: int) -> float:
         """Sum of 1/term(i) for i = 1..count, added left to right.  A sum that
         overflows, or is 0 because every weight overflows, is refused."""
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise DomainError(f"count must be an integer, got {count!r}")
         if count < 1:
             raise DomainError(f"count must be >= 1, got {count}")
         if count + self._shift > PREFIX_BUDGET:

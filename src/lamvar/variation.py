@@ -142,8 +142,6 @@ def _rank_order(values: Sequence[float]) -> List[int]:
 
 def _result(value: float, pairs: Sequence[Tuple[int, int]], pts, vals, method: str) -> VariationResult:
     """The result whose witness joins the index pairs (a, b) of pts, in order."""
-    if not math.isfinite(value):
-        raise InvalidInputError("the variation overflows", field="fn")
     ranks = [0] * len(pairs)
     for rank, k in enumerate(_rank_order([abs(vals[b] - vals[a]) for a, b in pairs])):
         ranks[k] = rank + 1
@@ -169,7 +167,7 @@ def _subset_search(values: Sequence[float], w: Sequence[float]) -> Tuple[float, 
     (b) subtrees whose padded upper bound (current increments topped up with
     the global maximum increment) cannot beat the incumbent are cut.  The
     witness returned is the first maximizer in lexicographic enumeration
-    order, which pruning preserves.
+    order, which pruning preserves.  An overflowing value is refused.
     """
     n = len(values)
     best_val = 0.0
@@ -209,10 +207,14 @@ def _subset_search(values: Sequence[float], w: Sequence[float]) -> Tuple[float, 
     for start in range(n - 1):
         if dmax * cumw[n - 1 - start] > best_val:
             extend((start,), [])
+    if not math.isfinite(best_val):
+        raise InvalidInputError("the variation overflows", field="fn")
     return best_val, best_sub
 
 
-def _solve_over_points(f, seq: LambdaSequence, pts: Sequence[float]) -> VariationResult:
+def _candidate_values(f, pts: Sequence[float]) -> List[float]:
+    """f at the merged candidate points pts of an exact solve, once their
+    count is checked against SOLVER_POINT_CAP."""
     if len(pts) < 2:
         raise DomainError("need at least two distinct points")
     if len(pts) > SOLVER_POINT_CAP:
@@ -220,9 +222,12 @@ def _solve_over_points(f, seq: LambdaSequence, pts: Sequence[float]) -> Variatio
             f"{len(pts)} candidate points exceed the solver cap of "
             f"{SOLVER_POINT_CAP}; use grid_oracle for a lower bound"
         )
-    vals = list(map(f.eval, pts))
-    w = _weights(seq, max(1, len(pts) - 1))
-    best_val, sub = _subset_search(vals, w)
+    return list(map(f.eval, pts))
+
+
+def _solve_over_points(f, seq: LambdaSequence, pts: Sequence[float]) -> VariationResult:
+    vals = _candidate_values(f, pts)
+    best_val, sub = _subset_search(vals, _weights(seq, len(pts) - 1))
     return _result(best_val, list(zip(sub, sub[1:])), pts, vals, "exact")
 
 
@@ -322,6 +327,7 @@ def _restricted_search(
     of every admissible completion, so by majorization against the decreasing
     weights the bound is sound, and it is exact whenever the suffix optimum
     does not depend on how many weight ranks the prefix already consumed.
+    An overflowing value is refused.
     """
     n = len(points)
     # Pareto children: increments must strictly increase with interval length,
@@ -411,6 +417,8 @@ def _restricted_search(
             visit(i + 1, diffs_desc, chosen)
 
     visit(0, [], ())
+    if not math.isfinite(best_val):
+        raise InvalidInputError("the variation overflows", field="fn")
     return best_val, best_choice
 
 
@@ -524,7 +532,8 @@ def lambda_norm(f, seq: LambdaSequence) -> float:
 
 def _norm_on_points(f, seq: LambdaSequence, pts: Sequence[float]) -> float:
     """lambda_norm of f, whose critical points pts are already known."""
-    norm = _solve_over_points(f, seq, pts).value + abs(f.eval(0.0))
+    vals = _candidate_values(f, pts)
+    norm = _subset_search(vals, _weights(seq, len(pts) - 1))[0] + abs(f.eval(0.0))
     if not math.isfinite(norm):
         raise InvalidInputError("the norm overflows", field="fn")
     return norm

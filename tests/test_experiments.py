@@ -352,22 +352,53 @@ def test_diminish_reports_skips(monkeypatch):
 def test_diminish_skipped_case_keeps_no_violations(monkeypatch):
     # violates at n = 1, then the solver hits a cap at n = 2: the whole case
     # is skipped, so none of its margins may stand as a violation
-    solve = lamvar.experiments.lambda_variation_on_set
+    evaluate = lamvar.experiments._candidate_values
 
-    def flaky(p, seq, points):
-        if p.degree == 2:
+    def flaky(f, points):
+        if isinstance(f, BernsteinPoly) and f.degree == 2:
             raise ResourceError("stand-in cap")
-        return solve(p, seq, points)
+        return evaluate(f, points)
 
     # degree n, and far more variation than any input
     monkeypatch.setattr(lamvar.experiments, "bernstein_of",
                         lambda f, n: BernsteinPoly([0.0] + [100.0] * n))
-    monkeypatch.setattr(lamvar.experiments, "lambda_variation_on_set", flaky)
+    monkeypatch.setattr(lamvar.experiments, "_candidate_values", flaky)
     rep = run_diminish_campaign(seed=1, cases=3, n_max=2, operators="bernstein")
     assert rep.violations == []
     assert rep.ok
     assert rep.summary["skipped"] == 3
     assert all(rec["outputs"] == {"skipped": True, "reason": "stand-in cap"} for rec in rep.cases)
+
+
+def test_diminish_values_match_the_witness_solver(monkeypatch):
+    # each function is evaluated once and its values searched once per family:
+    # every value must be the bits lambda_variation and lambda_variation_on_set
+    # give for that function and family
+    families = sorted(lamvar.experiments._FAMILY_BUILDERS)
+    seqs = [family_sequence(name) for name in families]
+    search = lamvar.experiments._subset_search
+    seen = []
+
+    def recording(values, w):
+        found = search(values, w)
+        seen.append(found[0].hex())
+        return found
+
+    monkeypatch.setattr(lamvar.experiments, "_subset_search", recording)
+    for seed in (1, 2, 3):
+        seen.clear()
+        rep = run_diminish_campaign(seed=seed, cases=3, lambda_families=families, n_max=5)
+        assert rep.summary["skipped"] == 0
+        expected = []
+        for rec in rep.cases:
+            f = PiecewiseLinear(rec["inputs"]["points"])
+            expected += [lambda_variation(f, seq).value.hex() for seq in seqs]
+            for n in range(1, 6):
+                for op in (bernstein_of, kantorovich_of):
+                    p = op(f, n)
+                    pts = critical_points(p).points
+                    expected += [lambda_variation_on_set(p, seq, pts).value.hex() for seq in seqs]
+        assert seen == expected
 
 
 def test_diminish_budget_trip_skips_only_its_case(monkeypatch):

@@ -66,6 +66,52 @@ def test_plf_integrate_exact():
         hat.integrate(0.6, 0.2)
 
 
+def _integrate_full_walk(f, a, b):
+    """PiecewiseLinear.integrate by a walk over every piece, the reference for
+    its narrowed walk."""
+    total = 0.0
+    for i in range(len(f.xs) - 1):
+        lo = max(a, f.xs[i])
+        hi = min(b, f.xs[i + 1])
+        if hi > lo:
+            total += (0.5 * f.eval(lo) + 0.5 * f.eval(hi)) * (hi - lo)
+    return total
+
+
+def test_plf_integrate_matches_full_walk_at_edges():
+    f = PiecewiseLinear([(0.0, 0.3), (0.25, -1.0), (0.5, 0.7), (0.8, 0.1), (1.0, -0.4)])
+    bounds = [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (-0.0, 0.25), (0.25, 0.5), (0.5, 0.5),
+              (0.8, 1.0), (0.2, 0.3), (0.3, 0.4), (0.25, 1.0), (0.0, 0.8), (0.9, 1.0)]
+    bounds += [(k / 7, (k + 1) / 7) for k in range(7)]
+    for a, b in bounds:
+        assert f.integrate(a, b).hex() == _integrate_full_walk(f, a, b).hex(), (a, b)
+
+
+@st.composite
+def _plf_and_bounds(draw):
+    inner = sorted(set(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                     max_size=7))))
+    ys = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(inner) + 2, max_size=len(inner) + 2))
+    f = PiecewiseLinear(list(zip([0.0] + inner + [1.0], ys)))
+    m = draw(st.integers(1, 13))
+    kind = draw(st.sampled_from(["cell", "equal", "mixed"]))
+    if kind == "cell":  # one Kantorovich cell of degree m - 1
+        k = draw(st.integers(0, m - 1))
+        return f, k / m, (k + 1) / m
+    bound = st.one_of(st.sampled_from(f.xs), st.integers(0, m).map(lambda k: k / m),
+                      st.floats(0.0, 1.0))
+    a = draw(bound)
+    b = a if kind == "equal" else draw(bound)
+    return (f, a, b) if a <= b else (f, b, a)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_plf_and_bounds())
+def test_plf_integrate_matches_full_walk(case):
+    f, a, b = case
+    assert f.integrate(a, b).hex() == _integrate_full_walk(f, a, b).hex()
+
+
 def test_plf_total_variation():
     assert named_function("hat").total_variation() == 2.0
     assert named_function("identity").total_variation() == 1.0

@@ -146,6 +146,9 @@ def test_count_and_ratio_guards():
     # an empty prefix is outside the domain
     with pytest.raises(DomainError, match="count must be >= 1, got 0"):
         LambdaSequence.linear().reciprocal_sum(0)
+    for count in (2.5, True):
+        with pytest.raises(DomainError, match="count must be an integer"):
+            LambdaSequence.linear().reciprocal_sum(count)
     for n in (0, True):
         with pytest.raises(DomainError, match="n must be a positive integer"):
             LambdaSequence.linear().shao_sablin_ratio(n)

@@ -451,6 +451,17 @@ def test_domain_narrower_than_merge_tol_is_one_candidate():
         lambda_variation(p, SEQ_N)
 
 
+def test_subset_search_refuses_overflow():
+    # each increment is finite, but the largest weighted sum is not
+    with pytest.raises(InvalidInputError, match="fn: the variation overflows") as exc:
+        _subset_search([0.0, 8e307, -8e307], _weights(SEQ_1, 2))
+    assert exc.value.field == "fn"
+    # a norm meets the variation's overflow before its own
+    f = PiecewiseLinear([(0.0, 0.0), (0.5, 8e307), (1.0, -8e307)])
+    with pytest.raises(InvalidInputError, match="fn: the variation overflows"):
+        lambda_norm(f, SEQ_1)
+
+
 def test_restricted_overflow_is_refused():
     # each increment is finite, but their sums in the search's bounds are not:
     # unchecked, every branch is pruned and 0.0 comes back tagged "exact"
