@@ -28,12 +28,11 @@ from .functions import (
 from .lambda_seq import LambdaSequence
 from .operators import _check_degree, bernstein_of, kantorovich_of
 from .serialize import dumps, format_float
-from . import variation
 from .variation import (
     _candidate_values,
     _norm_on_points,
+    _solver_weights,
     _subset_search,
-    _weights,
     lambda_norm,
     lambda_variation,
     lambda_variation_on_set,
@@ -221,13 +220,10 @@ def run_diminish_campaign(
     cases = _check_positive_int(cases, "cases")
     n_max = _check_positive_int(n_max, "n_max")
     ops = _operator_list(operators)
-    seqs = [(name, family_sequence(name)) for name in lambda_families]
-    if not seqs:
+    weights = [(name, _solver_weights(family_sequence(name))) for name in lambda_families]
+    if not weights:
         raise DomainError("lambda_families must not be empty")
     _check_degree(n_max)
-    # enough weights for any solve under the solver cap; a search reads only
-    # as many as its points need
-    weights = [(name, _weights(seq, variation.SOLVER_POINT_CAP - 1)) for name, seq in seqs]
 
     config = {
         "seed": seed,
@@ -430,6 +426,7 @@ def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
     cases = _check_positive_int(cases, "cases")
     families = sorted(_FAMILY_BUILDERS)
     seqs = [(name, family_sequence(name)) for name in families]
+    weights = [_solver_weights(seq) for _, seq in seqs]
     config = {"seed": seed, "cases": cases, "families": families}
     records: List[dict] = []
     violations: List[dict] = []
@@ -437,8 +434,9 @@ def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
     for index in range(cases):
         cseed, f = _draw_case(seed, index, 9)
         name, seq = seqs[index % len(seqs)]
-        exact = lambda_variation(f, seq).value
-        oracle = grid_oracle(f, seq, critical_points(f).points)
+        pts = critical_points(f).points
+        exact = _subset_search(_candidate_values(f, pts), weights[index % len(seqs)])[0]
+        oracle = grid_oracle(f, seq, pts)
         diff = abs(exact - oracle)
         margin = 1e-9 - diff
         bad = diff > 1e-9

@@ -196,16 +196,16 @@ class StepFunction:
     __call__ = eval
 
     def integrate(self, a: float, b: float) -> float:
-        """Exact integral over [a, b]; the cut points carry no measure."""
+        """Exact integral over [a, b] by the pieces that meet it; cuts carry no measure."""
         _check_bounds(a, b)
-        edges = (0.0,) + self.cuts + (1.0,)
         total = 0.0
-        for i, v in enumerate(self.piece_values):
-            lo = max(a, edges[i])
-            hi = min(b, edges[i + 1])
-            if hi > lo:
-                total += v * (hi - lo)
-        return total
+        lo = a
+        i = bisect.bisect_right(self.cuts, a)
+        while i < len(self.cuts) and self.cuts[i] < b:
+            total += self.piece_values[i] * (self.cuts[i] - lo)
+            lo = self.cuts[i]
+            i += 1
+        return total + self.piece_values[i] * (b - lo)
 
     def piece_midpoints(self) -> Tuple[float, ...]:
         edges = (0.0,) + self.cuts + (1.0,)

@@ -189,7 +189,7 @@ class LambdaSequence:
         if count + self._shift > PREFIX_BUDGET:
             raise ResourceError(
                 f"prefix of {count} terms (shift {self._shift}) exceeds the "
-                f"materialization budget of {PREFIX_BUDGET}"
+                f"budget of {PREFIX_BUDGET} weights"
             )
         total = 0.0
         for k in range(self._shift + 1, self._shift + count + 1):

@@ -37,7 +37,7 @@ ORACLE_POINT_CAP = 16
 #: Restricted solver cap; its branch-and-bound uses a remaining-total-variation
 #: bound and handles far larger candidate sets than the subset solver.
 RESTRICTED_CANDIDATE_CAP = 512
-_RESTRICTED_NODE_BUDGET = 40_000  # a stalled search exhausts it in 3-16 s (2 cores)
+_RESTRICTED_NODE_BUDGET = 40_000  # a stalled search exhausts it in 1-7 s (2 cores)
 
 
 class IntervalSystem:
@@ -153,6 +153,11 @@ def _weights(seq: LambdaSequence, count: int) -> List[float]:
     return [1.0 / seq.term(j) for j in range(1, count + 1)]
 
 
+def _solver_weights(seq: LambdaSequence) -> List[float]:
+    """Weights for any solve under SOLVER_POINT_CAP; a search reads only those its points need."""
+    return _weights(seq, SOLVER_POINT_CAP - 1)
+
+
 # -- exact subset solver --------------------------------------------------
 
 
@@ -225,12 +230,6 @@ def _candidate_values(f, pts: Sequence[float]) -> List[float]:
     return list(map(f.eval, pts))
 
 
-def _solve_over_points(f, seq: LambdaSequence, pts: Sequence[float]) -> VariationResult:
-    vals = _candidate_values(f, pts)
-    best_val, sub = _subset_search(vals, _weights(seq, len(pts) - 1))
-    return _result(best_val, list(zip(sub, sub[1:])), pts, vals, "exact")
-
-
 def lambda_variation(f, seq: LambdaSequence) -> VariationResult:
     """Exact weighted variation of f over [0,1].
 
@@ -239,14 +238,17 @@ def lambda_variation(f, seq: LambdaSequence) -> VariationResult:
     nearest candidate never decreases the objective and the subset search is
     exact for the supported function classes.
     """
-    return _solve_over_points(f, seq, critical_points(f).points)
+    return lambda_variation_on_set(f, seq, critical_points(f).points)
 
 
 def lambda_variation_on_set(f, seq: LambdaSequence, points: Iterable[float]) -> VariationResult:
     """Weighted variation restricted to interval systems with endpoints in the
-    given point set."""
+    given point set (merged at MERGE_TOL; a merged set merges to itself)."""
     xs = [float(x) for x in points]
-    return _solve_over_points(f, seq, CriticalSet(zip(xs, xs)).points)
+    pts = CriticalSet(zip(xs, xs)).points
+    vals = _candidate_values(f, pts)
+    best_val, sub = _subset_search(vals, _weights(seq, len(pts) - 1))
+    return _result(best_val, list(zip(sub, sub[1:])), pts, vals, "exact")
 
 
 # -- brute-force oracle ---------------------------------------------------
@@ -260,9 +262,7 @@ def _best_over_permutations(diffs: Sequence[float], rank_terms: np.ndarray) -> f
     so each row does the IEEE operations of :func:`best_assignment`'s
     left-to-right loop in the same order, bit for bit on every Python version.
     """
-    sums = diffs[0] / rank_terms[:, 0]
-    for j in range(1, len(diffs)):
-        sums = sums + diffs[j] / rank_terms[:, j]
+    sums = np.add.accumulate(diffs / rank_terms, axis=1)[:, -1]
     return max(0.0, float(sums.max()))
 
 
@@ -356,11 +356,11 @@ def _restricted_search(
             np.maximum(row[1:], d + cap[jj][:-1], out=row[1:])
         np.maximum.accumulate(row, out=row)
         cap[i] = row
-    gains: List[np.ndarray] = []
+    gains: List[List[float]] = []
     for i in range(n + 1):
         g = np.diff(cap[i])
         g[::-1].sort()
-        gains.append(g)
+        gains.append(g.tolist())  # bound() adds Python floats twice as fast as numpy scalars
 
     nw = len(w)
 

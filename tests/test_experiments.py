@@ -243,6 +243,28 @@ def test_oracle_crosscheck_deterministic():
     assert dumps(a.to_json()) == dumps(b.to_json())
 
 
+def test_oracle_crosscheck_builds_no_witness(monkeypatch):
+    # the campaign reads values only, so a witness builder that raises changes nothing
+    expected = dumps(run_oracle_crosscheck(seed=7, cases=10).to_json())
+
+    def no_witness(*args):
+        raise AssertionError("oracle-check built a witness")
+
+    monkeypatch.setattr(lamvar.variation, "_result", no_witness)
+    assert dumps(run_oracle_crosscheck(seed=7, cases=10).to_json()) == expected
+
+
+def test_oracle_exact_values_match_the_witness_solver():
+    # every family, power and nlog included, which the pinned digest leaves out
+    for seed in (1, 2, 3):
+        rep = run_oracle_crosscheck(seed=seed, cases=10)
+        assert {rec["inputs"]["family"] for rec in rep.cases} == set(lamvar.experiments._FAMILY_BUILDERS)
+        for rec in rep.cases:
+            f = PiecewiseLinear(rec["inputs"]["points"])
+            seq = family_sequence(rec["inputs"]["family"])
+            assert rec["outputs"]["exact"].hex() == lambda_variation(f, seq).value.hex()
+
+
 
 def test_outputs_match_pinned_digests():
     """Campaign bytes are frozen across code changes, not only across reruns.

@@ -151,6 +151,53 @@ def test_step_integrate_ignores_cut_values():
     assert s.integrate(0.25, 0.75) == pytest.approx(0.25, abs=1e-15)
 
 
+def _step_integrate_full_walk(s, a, b):
+    """StepFunction.integrate by a walk over every piece, the reference for
+    its narrowed walk."""
+    edges = (0.0,) + s.cuts + (1.0,)
+    total = 0.0
+    for i, v in enumerate(s.piece_values):
+        lo = max(a, edges[i])
+        hi = min(b, edges[i + 1])
+        if hi > lo:
+            total += v * (hi - lo)
+    return total
+
+
+def test_step_integrate_matches_full_walk_at_edges():
+    s = StepFunction([0.25, 0.5, 0.8], [0.3, -1.0, 0.7, -0.4], [0.3, 0.7, 0.1])
+    bounds = [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (-0.0, 0.25), (0.25, 0.5), (0.5, 0.5),
+              (0.8, 1.0), (0.2, 0.3), (0.3, 0.4), (0.25, 1.0), (0.0, 0.8), (0.9, 1.0)]
+    bounds += [(k / 7, (k + 1) / 7) for k in range(7)]
+    for a, b in bounds:
+        assert s.integrate(a, b).hex() == _step_integrate_full_walk(s, a, b).hex(), (a, b)
+
+
+@st.composite
+def _step_and_bounds(draw):
+    cuts = sorted(set(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                    max_size=7))))
+    pieces = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    s = StepFunction(cuts, pieces, pieces[:-1])
+    m = draw(st.integers(1, 13))
+    kind = draw(st.sampled_from(["cell", "equal", "mixed"]))
+    if kind == "cell":  # one Kantorovich cell of degree m - 1
+        k = draw(st.integers(0, m - 1))
+        return s, k / m, (k + 1) / m
+    bound = st.one_of(st.sampled_from(s.cuts + (0.0, 1.0)),
+                      st.integers(0, m).map(lambda k: k / m), st.floats(0.0, 1.0))
+    a = draw(bound)
+    b = a if kind == "equal" else draw(bound)
+    return (s, a, b) if a <= b else (s, b, a)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_step_and_bounds())
+def test_step_integrate_matches_full_walk(case):
+    s, a, b = case
+    assert s.integrate(a, b).hex() == _step_integrate_full_walk(s, a, b).hex()
+
+
 def test_step_midpoints():
     s = StepFunction([1 / 3, 2 / 3], [0.0, 0.5, 1.0], [0.25, 0.75])
     mids = s.piece_midpoints()

@@ -140,6 +140,8 @@ def test_budget_guard():
         seq.reciprocal_sum(PREFIX_BUDGET + 1)
     with pytest.raises(ResourceError, match=r"prefix of 4194300 terms \(shift 5\)"):
         seq.tail(5).reciprocal_sum(PREFIX_BUDGET - 4)
+    with pytest.raises(ResourceError, match=r"exceeds the budget of 4194304 weights$"):
+        seq.reciprocal_sum(PREFIX_BUDGET + 1)
 
 
 def test_count_and_ratio_guards():
