@@ -241,17 +241,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    codes = {InvalidInputError: 2, DomainError: 2, PropertyViolationError: 3, ResourceError: 4}
     try:
         return args.handler(args)
-    except (InvalidInputError, DomainError) as exc:
+    except tuple(codes) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except PropertyViolationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except ResourceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
+        return codes[type(exc)]
 
 
 if __name__ == "__main__":

@@ -106,8 +106,8 @@ class PiecewiseLinear:
 
     def eval(self, x: float) -> float:
         _check_unit_interval(x)
-        i = bisect.bisect_left(self.xs, x)
-        if i < len(self.xs) and self.xs[i] == x:
+        i = bisect.bisect_left(self.xs, x)  # in range: xs[-1] is 1.0 and x <= 1.0
+        if self.xs[i] == x:
             return self.ys[i]
         x0, x1 = self.xs[i - 1], self.xs[i]
         y0, y1 = self.ys[i - 1], self.ys[i]
@@ -523,17 +523,15 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
 
 
 def _derivative_job(p: BernsteinPoly):
-    """(difference coefficients, local tolerance) of p's derivative, or None
-    when p is constant to within rounding noise."""
+    """(difference coefficients, local tolerance) of p's derivative, None
+    when p is constant to within rounding noise, or the overflow error."""
     n = p.degree
     if n < 1:
         return None
     dc = tuple(p.coeffs[k + 1] - p.coeffs[k] for k in range(n))
     dmax = max(abs(c) for c in dc)
     if dmax == math.inf:
-        raise InvalidInputError(
-            "differences of neighbouring coefficients overflow", field="coeffs"
-        )
+        return InvalidInputError("differences of neighbouring coefficients overflow", field="coeffs")
     cscale = max(1.0, max(abs(c) for c in p.coeffs))
     # Derivative noise from O(n) convex combinations of O(cscale)
     # coefficients is below this; treat such derivatives as identically 0.
@@ -560,12 +558,10 @@ def critical_points_many(fs: Sequence[object]) -> List[object]:
     found: List[object] = [()] * len(pieces)  # local roots, then the set; or an exception
     jobs = {}
     for i, p in enumerate(pieces):
-        try:
-            job = _derivative_job(p)
-        except InvalidInputError as exc:
-            found[i] = exc
-            continue
-        if job is not None:
+        job = _derivative_job(p)
+        if isinstance(job, Exception):
+            found[i] = job
+        elif job is not None:
             jobs[i] = job
     if jobs:
         for i, roots in zip(jobs, _sign_change_params_many(list(jobs.values()))):

@@ -262,18 +262,18 @@ def _best_over_permutations(diffs: Sequence[float], rank_terms: np.ndarray) -> f
     so each row does the IEEE operations of :func:`best_assignment`'s
     left-to-right loop in the same order, bit for bit on every Python version.
     """
-    sums = np.add.accumulate(diffs / rank_terms, axis=1)[:, -1]
-    return max(0.0, float(sums.max()))
+    q = diffs / rank_terms
+    np.add.accumulate(q, axis=1, out=q)
+    return max(0.0, float(q[:, -1].max()))
 
 
 def grid_oracle(f, seq: LambdaSequence, grid: Iterable[float]) -> float:
     """Independent brute-force maximum over ALL subsets of a small grid.
 
     No pruning and no reliance on critical-point theory; for grids of at most
-    8 points every subset's sorted assignment is additionally re-verified
-    against explicit enumeration of every rank permutation.  The weights are
-    read once per call and the permutations of one subset are evaluated as
-    array columns.
+    8 points every subset's sorted assignment (which reads seq's terms anew) is
+    re-verified against every rank permutation: the rows of one weight table
+    per subset size, built from terms read once per call.
     """
     xs = [float(x) for x in grid]
     pts = CriticalSet(zip(xs, xs)).points
@@ -282,15 +282,13 @@ def grid_oracle(f, seq: LambdaSequence, grid: Iterable[float]) -> float:
         raise ResourceError(f"grid of {n} points exceeds the oracle cap of {ORACLE_POINT_CAP}")
     vals = list(map(f.eval, pts))
     verify = n <= 8
-    terms = np.array([0.0] + [seq.term(r) for r in range(1, max(n, 2))])
+    terms = [seq.term(r) for r in range(1, n)]
     best = 0.0
     for size in range(2, n + 1):
         if verify:
-            perm_index = np.fromiter(
-                itertools.chain.from_iterable(itertools.permutations(range(1, size))),
-                dtype=np.intp,
+            rank_terms = np.fromiter(
+                itertools.chain.from_iterable(itertools.permutations(terms[: size - 1])), float
             ).reshape(-1, size - 1)
-            rank_terms = terms[perm_index]
         for comb in itertools.combinations(range(n), size):
             diffs = [abs(vals[comb[i + 1]] - vals[comb[i]]) for i in range(size - 1)]
             val = best_assignment(diffs, seq)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,22 @@ def test_grid_oracle_guards():
     assert grid_oracle(ident, SEQ_N, [k / 15 for k in range(16)]) == pytest.approx(1.0)
     with pytest.raises(ResourceError, match="oracle cap of 16"):
         grid_oracle(ident, SEQ_N, [k / 16 for k in range(17)])
+
+
+def test_grid_oracle_peak_memory():
+    """The permutation check holds one weight table per size and one quotient
+    array per subset: at 8 points each is 5,040 x 7 floats (~276 KiB), and one
+    call peaks near 620 KiB; an integer index table or a second running-sum
+    array beside them lifts the peak past 1,100 KiB."""
+    grid = [k / 7 for k in range(8)]
+    zigzag = PiecewiseLinear([(x, k % 2) for k, x in enumerate(grid)])
+    tracemalloc.start()
+    try:
+        grid_oracle(zigzag, SEQ_N, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 800 * 1024
 
 
 # -- restricted solver -----------------------------------------------------
