@@ -593,8 +593,7 @@ def _critical_set(f, piece_sets: Iterator[object]) -> object:
         for piece, crit in zip(f.pieces, [next(piece_sets) for _ in f.pieces]):
             if isinstance(crit, Exception):
                 return crit  # the first failing piece's, as isolating them in order raises
-            if piece.a != 0.0:
-                entries.append((piece.a, TAG_BREAKPOINT))
+            entries.append((piece.a, TAG_BREAKPOINT))  # the first's 0.0 merges into the endpoint
             # the first and last points stand for the piece's ends (a root within
             # MERGE_TOL of an end has merged into it); the roots lie between them
             entries += [(x, TAG_ROOT) for x in crit.points[1:-1]]

@@ -130,20 +130,17 @@ def best_assignment(values: Sequence[float], seq: LambdaSequence) -> float:
             reason = "values must be nonnegative" if v < 0.0 else "values must be finite"
             raise InvalidInputError(reason, field=f"values[{i}]")
     total = 0.0  # not sum(): from CPython 3.12 it compensates, changing the bits
-    for rank, i in enumerate(_rank_order(vals)):
-        total += vals[i] / seq.term(rank + 1)
+    for rank, v in enumerate(sorted(vals, reverse=True)):  # stable: equal values (+-0.0 too) keep their order
+        total += v / seq.term(rank + 1)
     return total
-
-
-def _rank_order(values: Sequence[float]) -> List[int]:
-    """Indices by decreasing value, ties by index: position r gets weight rank r+1."""
-    return sorted(range(len(values)), key=lambda i: (-values[i], i))
 
 
 def _result(value: float, pairs: Sequence[Tuple[int, int]], pts, vals, method: str) -> VariationResult:
     """The result whose witness joins the index pairs (a, b) of pts, in order."""
+    diffs = [abs(vals[b] - vals[a]) for a, b in pairs]
     ranks = [0] * len(pairs)
-    for rank, k in enumerate(_rank_order([abs(vals[b] - vals[a]) for a, b in pairs])):
+    # decreasing increments, ties by position: position r gets weight rank r + 1
+    for rank, k in enumerate(sorted(range(len(pairs)), key=diffs.__getitem__, reverse=True)):
         ranks[k] = rank + 1
     witness = IntervalSystem([(pts[a], pts[b]) for a, b in pairs])
     return VariationResult(value, witness, ranks, method)
@@ -156,6 +153,16 @@ def _weights(seq: LambdaSequence, count: int) -> List[float]:
 def _solver_weights(seq: LambdaSequence) -> List[float]:
     """Weights for any solve under SOLVER_POINT_CAP; a search reads only those its points need."""
     return _weights(seq, SOLVER_POINT_CAP - 1)
+
+
+def _score(diffs_asc: Sequence[float], w: Sequence[float], start: float = 0.0, pad: int = 0) -> float:
+    """start plus the ascending increments taken largest first, times
+    w[pad], w[pad + 1], ..., added left to right: the rearrangement-weighted
+    sum of both exact searches."""
+    s = start
+    for i, d in enumerate(reversed(diffs_asc), pad):
+        s += d * w[i]
+    return s
 
 
 # -- exact subset solver --------------------------------------------------
@@ -182,13 +189,6 @@ def _subset_search(values: Sequence[float], w: Sequence[float]) -> Tuple[float, 
     for wi in w:
         cumw.append(cumw[-1] + wi)
 
-    def padded_score(diffs_asc: List[float], pad: int) -> float:
-        s = dmax * cumw[pad] if pad else 0.0
-        k = len(diffs_asc)
-        for i in range(k):
-            s += diffs_asc[k - 1 - i] * w[pad + i]
-        return s
-
     def extend(sub: Tuple[int, ...], diffs_asc: List[float]) -> None:
         nonlocal best_val, best_sub
         last = sub[-1]
@@ -201,12 +201,12 @@ def _subset_search(values: Sequence[float], w: Sequence[float]) -> Tuple[float, 
                 continue
             nd = list(diffs_asc)
             bisect.insort(nd, abs(v_next - v_last))
-            val = padded_score(nd, 0)
+            val = _score(nd, w)
             if val > best_val:
                 best_val = val
                 best_sub = sub + (nxt,)
             rem = n - 1 - nxt
-            if rem and padded_score(nd, rem) > best_val:
+            if rem and _score(nd, w, dmax * cumw[rem], rem) > best_val:
                 extend(sub + (nxt,), nd)
 
     for start in range(n - 1):
@@ -362,22 +362,15 @@ def _restricted_search(
 
     nw = len(w)
 
-    def score(diffs_desc: Sequence[float]) -> float:
-        s = 0.0
-        for i, d in enumerate(diffs_desc):
-            s += d * w[i]
-        return s
-
-    def bound(diffs_desc: List[float], i: int) -> float:
+    def bound(diffs_asc: List[float], i: int) -> float:
         g = gains[i]  # len(g) == nw: a gain is left at every rank
-        la = len(diffs_desc)
+        a = len(diffs_asc) - 1
         s = 0.0
-        a = 0
         b = 0
         for r in range(nw):
-            if a < la and diffs_desc[a] >= g[b]:
-                v = diffs_desc[a]
-                a += 1
+            if a >= 0 and diffs_asc[a] >= g[b]:
+                v = diffs_asc[a]
+                a -= 1
             else:
                 v = g[b]
                 b += 1
@@ -390,7 +383,7 @@ def _restricted_search(
     best_choice: Tuple[Tuple[int, int], ...] = ()
     nodes = 0
 
-    def visit(i: int, diffs_desc: List[float], chosen: Tuple[Tuple[int, int], ...]) -> None:
+    def visit(i: int, diffs_asc: List[float], chosen: Tuple[Tuple[int, int], ...]) -> None:
         nonlocal best_val, best_choice, nodes
         nodes += 1
         if nodes > _RESTRICTED_NODE_BUDGET:
@@ -399,20 +392,17 @@ def _restricted_search(
                 "lower the resolution"
             )
         for d, jj in children[i]:
-            nd = list(diffs_desc)
-            pos = 0
-            while pos < len(nd) and nd[pos] >= d:
-                pos += 1
-            nd.insert(pos, d)
-            val = score(nd)
+            nd = list(diffs_asc)
+            bisect.insort(nd, d)
+            val = _score(nd, w)
             nc = chosen + ((i, jj),)
             if val > best_val:
                 best_val = val
                 best_choice = nc
             if bound(nd, jj) > best_val:
                 visit(jj, nd, nc)
-        if bound(diffs_desc, i + 1) > best_val:
-            visit(i + 1, diffs_desc, chosen)
+        if bound(diffs_asc, i + 1) > best_val:
+            visit(i + 1, diffs_asc, chosen)
 
     visit(0, [], ())
     if not math.isfinite(best_val):
@@ -485,7 +475,7 @@ def restricted_variation(f, seq: LambdaSequence, delta: float, resolution: int =
     # turn to NaN, prune every branch and leave a wrong value
     if not math.isfinite(sum(abs(b - a) for a, b in zip(vals, vals[1:]))):
         raise InvalidInputError("the variation overflows", field="fn")
-    w = _weights(seq, max(1, len(pts) - 1))
+    w = _weights(seq, len(pts) - 1)
     best_val, chosen = _restricted_search(pts, vals, w, delta)
     exact = isinstance(f, PiecewiseLinear) and _chain_closure_holds(f, pts, delta)
     return _result(best_val, chosen, pts, vals, "exact" if exact else "grid-lower-bound")

@@ -28,7 +28,13 @@ from lamvar.functions import (
 )
 from lamvar.lambda_seq import LambdaSequence
 from lamvar.serialize import dumps
-from lamvar.variation import grid_oracle, lambda_variation, lambda_variation_on_set
+from lamvar.variation import (
+    grid_oracle,
+    lambda_variation,
+    lambda_variation_on_set,
+    restricted_variation,
+    wiener_profile,
+)
 from lamvar.operators import bernstein_of, kantorovich_of
 
 
@@ -269,8 +275,10 @@ def test_oracle_exact_values_match_the_witness_solver():
 def test_outputs_match_pinned_digests():
     """Campaign bytes are frozen across code changes, not only across reruns.
 
-    Cases weighted by the power and nlog families are left out: their terms
-    come from libm pow and log, whose last bit may differ between platforms.
+    Cases and solves weighted by the power and nlog families are left out:
+    their terms come from libm pow and log, whose last bit may differ between
+    platforms.  The solves pin both exact searches' values, witnesses and
+    witness ranks, which no campaign prints.
     """
     def sha1(text):
         return hashlib.sha1(text.encode("utf-8")).hexdigest()
@@ -305,6 +313,19 @@ def test_outputs_match_pinned_digests():
         for seq in (base, base.tail(7))
         for n in (1, 2, 3, 10, 100, 1000, 4096)
     ]
+    solves = []
+    for s, k in ((1, 4), (2, 6), (3, 9)):
+        f = random_plf(s, k)
+        for seq in (
+            LambdaSequence.constant(1.0),
+            LambdaSequence.linear(1.0, 0.0),
+            LambdaSequence.explicit([1.0, 2.0], 1.0, 1.0),
+        ):
+            solves.append(lambda_variation(f, seq).to_json())
+            solves += [restricted_variation(f, seq, d, 16).to_json() for d in (0.5, 0.25, 0.125)]
+    solves.append(
+        wiener_profile(random_plf(4, 7), LambdaSequence.linear(1.0, 0.0), [0.5, 0.25, 0.125], 32)
+    )
     assert len(oracle) == 24
     assert {
         "diminish": sha1(dumps(diminish.to_json(), indent=2)),
@@ -313,6 +334,7 @@ def test_outputs_match_pinned_digests():
         "converge_skipping": sha1(skipping.to_csv()),
         "roots": sha1(dumps(roots)),
         "shao_sablin": sha1(dumps(shao_sablin)),
+        "solves": sha1(dumps(solves)),
     } == {
         "diminish": "09e4fb9d76d67818afbf1ecc84bf949484981ed2",
         "oracle": "671eb0d20094d697bed1b20ff25f80132ce74949",
@@ -320,6 +342,7 @@ def test_outputs_match_pinned_digests():
         "converge_skipping": "e21824cbe56b55c8ce8bb979c2420e65575d841c",
         "roots": "16af5b6d3b2c83808f6fc6f467cbcdda34a84286",
         "shao_sablin": "49ccd36ebe87bdb787c1ace0e056f3553bd347b6",
+        "solves": "5afea3583c758f9698337fa6c860cf731b2c0e7d",
     }
 
 # -- continuity-set check ------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,6 +215,37 @@ def test_subset_search_matches_brute_force():
         seq = seqs[rng.randrange(len(seqs))]
         got, _sub = _subset_search(values, _weights(seq, n - 1))
         assert got == pytest.approx(brute_over_subsets(values, seq), abs=1e-12)
+
+
+def test_exact_solves_within_stated_bound_of_rational_reference():
+    """Floats are dyadic rationals, so Fraction scores every candidate subset
+    exactly from the float values and float terms the solver reads.  With k
+    the number of candidates minus 1, the solver rounds each increment, each
+    reciprocal weight and each product once, and its sum of at most k
+    products k - 1 times: its value lies within (k + 2) * 2**-53 of the exact
+    optimum, relatively, and so does the exact sum of its witness."""
+    u = Fraction(1, 2 ** 53)
+    for seed in range(240):
+        f = random_plf(seed, 2 + seed % 8)
+        pts = critical_points(f).points
+        vals = [Fraction(f.eval(x)) for x in pts]
+        k = len(pts) - 1
+        systems = [
+            sorted((abs(vals[b] - vals[a]) for a, b in zip(sub, sub[1:])), reverse=True)
+            for size in range(2, k + 2)
+            for sub in itertools.combinations(range(k + 1), size)
+        ]
+        for name in ("constant", "linear", "power", "nlog", "explicit"):
+            seq = family_sequence(name)
+            terms = [Fraction(seq.term(r)) for r in range(1, k + 1)]
+            exact = max(sum(d / t for d, t in zip(diffs, terms)) for diffs in systems)
+            res = lambda_variation(f, seq)
+            witness = sum(
+                abs(Fraction(f.eval(b)) - Fraction(f.eval(a))) / terms[r - 1]
+                for (a, b), r in zip(res.witness, res.assignment)
+            )
+            assert abs(Fraction(res.value) - exact) <= (k + 2) * u * exact
+            assert exact - witness <= (k + 2) * u * exact
 
 
 def test_variation_point_cap():
