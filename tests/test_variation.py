@@ -220,10 +220,15 @@ def test_subset_search_matches_brute_force():
 def test_exact_solves_within_stated_bound_of_rational_reference():
     """Floats are dyadic rationals, so Fraction scores every candidate subset
     exactly from the float values and float terms the solver reads.  With k
-    the number of candidates minus 1, the solver rounds each increment, each
-    reciprocal weight and each product once, and its sum of at most k
-    products k - 1 times: its value lies within (k + 2) * 2**-53 of the exact
-    optimum, relatively, and so does the exact sum of its witness."""
+    the number of candidates minus 1 and u = 2**-53, the score rounds each
+    increment, each reciprocal weight and each product once, and its sum of
+    at most k products k - 1 times: its relative error is at most
+    gamma_(k+2) = (k + 2)u / (1 - (k + 2)u).  The test asserts the first-order
+    form (k + 2)u, for the value and for the exact sum of the witness.  The
+    count leaves out the float bound with which the subset search prunes, so
+    the test checks whole solves of lambda_variation on piecewise-linear
+    input; the restricted search and piecewise-polynomial input are not
+    covered."""
     u = Fraction(1, 2 ** 53)
     for seed in range(240):
         f = random_plf(seed, 2 + seed % 8)
