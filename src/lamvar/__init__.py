@@ -23,7 +23,6 @@ from .lambda_seq import LambdaSequence
 from .operators import (
     Monotonicity,
     bernstein_of,
-    kantorovich_aux,
     kantorovich_of,
     monotone_certificate,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "critical_points_many",
     "grid_oracle",
     "isolate_extrema",
-    "kantorovich_aux",
     "kantorovich_of",
     "lambda_distance",
     "lambda_norm",

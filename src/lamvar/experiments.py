@@ -29,14 +29,16 @@ from .lambda_seq import LambdaSequence
 from .operators import _check_degree, bernstein_of, kantorovich_of
 from .serialize import dumps, format_float
 from .variation import (
+    SOLVER_POINT_CAP,
     _candidate_values,
     _norm_on_points,
-    _solver_weights,
     _subset_search,
+    _weights,
     lambda_norm,
     lambda_variation,
     lambda_variation_on_set,
     grid_oracle,
+    sigma,
 )
 
 _CSV_HEADER = "case_id,inputs_digest,key_values,margin,violation"
@@ -220,7 +222,7 @@ def run_diminish_campaign(
     cases = _check_positive_int(cases, "cases")
     n_max = _check_positive_int(n_max, "n_max")
     ops = _operator_list(operators)
-    weights = [(name, _solver_weights(family_sequence(name))) for name in lambda_families]
+    weights = [(name, _weights(family_sequence(name), SOLVER_POINT_CAP - 1)) for name in lambda_families]
     if not weights:
         raise DomainError("lambda_families must not be empty")
     _check_degree(n_max)
@@ -308,9 +310,7 @@ def run_counterexample(
 
     f = named_function("counterexample")
     f_at_delta = f.eval(delta)
-    baseline = abs(f_at_delta - f.eval(0.0)) / seq.term(1) + abs(
-        f.eval(1.0) - f_at_delta
-    ) / seq.term(2)
+    baseline = sigma(f, ((0.0, delta), (delta, 1.0)), seq)
 
     config = {
         "lambda": seq.to_json(),
@@ -426,7 +426,7 @@ def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
     cases = _check_positive_int(cases, "cases")
     families = sorted(_FAMILY_BUILDERS)
     seqs = [(name, family_sequence(name)) for name in families]
-    weights = [_solver_weights(seq) for _, seq in seqs]
+    weights = [_weights(seq, SOLVER_POINT_CAP - 1) for _, seq in seqs]
     config = {"seed": seed, "cases": cases, "families": families}
     records: List[dict] = []
     violations: List[dict] = []

@@ -2,9 +2,7 @@
 
 ``bernstein_of(f, n)`` samples f at the nodes k/n; ``kantorovich_of(f, n)``
 replaces the samples by exact mean values of f over the n+1 equal subintervals
-of length 1/(n+1).  The Kantorovich construction factors through an auxiliary
-piecewise-linear function interpolating those mean values at the nodes, which
-is exposed for testing the factorization identity.
+of length 1/(n+1).
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from __future__ import annotations
 import enum
 
 from .errors import InvalidInputError, ResourceError, _check_positive_int
-from .functions import BernsteinPoly, PiecewiseLinear, isolate_extrema
+from .functions import BernsteinPoly, isolate_extrema
 
 
 class Monotonicity(enum.Enum):
@@ -43,7 +41,7 @@ def kantorovich_of(f, n: int) -> BernsteinPoly:
     """Degree-n Kantorovich polynomial of f.
 
     Coefficient k is the mean of f over [k/(n+1), (k+1)/(n+1)], computed as an
-    exact integral; f must therefore be piecewise linear or a step function.
+    exact integral; f must be a PiecewiseLinear, StepFunction or BernsteinPoly.
     """
     _check_degree(n)
     if not hasattr(f, "integrate"):
@@ -53,16 +51,6 @@ def kantorovich_of(f, n: int) -> BernsteinPoly:
     m = n + 1
     coeffs = tuple(m * f.integrate(k / m, (k + 1) / m) for k in range(m))
     return BernsteinPoly(coeffs)
-
-
-def kantorovich_aux(f, n: int) -> PiecewiseLinear:
-    """Piecewise-linear interpolant of the Kantorovich mean values at k/n...
-
-    ...so that ``bernstein_of(kantorovich_aux(f, n), n)`` has exactly the
-    coefficients of ``kantorovich_of(f, n)``.
-    """
-    values = kantorovich_of(f, n).coeffs
-    return PiecewiseLinear([(k / n, v) for k, v in enumerate(values)])
 
 
 def monotone_certificate(p: BernsteinPoly) -> Monotonicity:

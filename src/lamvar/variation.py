@@ -150,11 +150,6 @@ def _weights(seq: LambdaSequence, count: int) -> List[float]:
     return [1.0 / seq.term(j) for j in range(1, count + 1)]
 
 
-def _solver_weights(seq: LambdaSequence) -> List[float]:
-    """Weights for any solve under SOLVER_POINT_CAP; a search reads only those its points need."""
-    return _weights(seq, SOLVER_POINT_CAP - 1)
-
-
 def _score(diffs_asc: Sequence[float], w: Sequence[float], start: float = 0.0, pad: int = 0) -> float:
     """start plus the ascending increments taken largest first, times
     w[pad], w[pad + 1], ..., added left to right: the rearrangement-weighted
@@ -345,20 +340,18 @@ def _restricted_search(
         kids.reverse()
         children.append(kids)
     # cap[i][j]: best unweighted sum over disjoint admissible systems of at
-    # most j intervals within points[i:]
+    # most j intervals within points[i:]; gains[i]: its increments, largest first
     J = n - 1
     cap = np.zeros((n + 1, J + 1))
+    gains: List[List[float]] = [[0.0] * J] * (n + 1)  # cap[n] is zeros
     for i in range(n - 1, -1, -1):
-        row = cap[i + 1].copy()
+        row = cap[i]
+        row[:] = cap[i + 1]
         for d, jj in children[i]:
             np.maximum(row[1:], d + cap[jj][:-1], out=row[1:])
-        np.maximum.accumulate(row, out=row)
-        cap[i] = row
-    gains: List[List[float]] = []
-    for i in range(n + 1):
-        g = np.diff(cap[i])
+        g = np.diff(row)
         g[::-1].sort()
-        gains.append(g.tolist())  # bound() adds Python floats twice as fast as numpy scalars
+        gains[i] = g.tolist()  # bound() adds Python floats twice as fast as numpy scalars
 
     nw = len(w)
 

@@ -168,6 +168,10 @@ def test_operator_coeffs(capsys, files):
     code, out, _ = run(capsys, ["operator", "--op", "bernstein", "--fn", files["hat"], "-n", "2"])
     assert code == 0
     assert out.splitlines() == ["index,coefficient", "0,0", "1,1", "2,0"]
+    # a Bernstein input is integrated exactly: the identity's means over the n + 1 cells
+    code, out, _ = run(capsys, ["operator", "--op", "kantorovich", "--fn", files["bern"], "-n", "3"])
+    assert code == 0
+    assert out.splitlines() == ["index,coefficient", "0,0.125", "1,0.375", "2,0.625", "3,0.875"]
 
 
 def test_operator_samples(capsys, files):
@@ -190,10 +194,6 @@ def test_operator_bad_emit_exits_2(capsys, files):
                                   "-n", "2", "--emit", "bogus"])
     assert (code, out) == (2, "")
     assert err == "error: emit: expected 'coeffs' or 'samples:K', got 'bogus'\n"
-    code, out, err = run(capsys, ["operator", "--op", "kantorovich", "--fn", files["bern"],
-                                  "-n", "2"])
-    assert (code, out) == (2, "")
-    assert err == "error: fn: BernsteinPoly does not support exact integration\n"
 
 
 def test_operator_degree_above_cap_exits_4(capsys, files):

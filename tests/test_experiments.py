@@ -326,6 +326,11 @@ def test_outputs_match_pinned_digests():
     solves.append(
         wiener_profile(random_plf(4, 7), LambdaSequence.linear(1.0, 0.0), [0.5, 0.25, 0.125], 32)
     )
+    counterexample = [
+        run_counterexample(seq, d, range(1, 31)).to_json()
+        for seq in (LambdaSequence.linear(1.0, 0.0), LambdaSequence.explicit([1.0, 2.0], 1.0, 1.0))
+        for d in (0.75, 0.9)
+    ]
     assert len(oracle) == 24
     assert {
         "diminish": sha1(dumps(diminish.to_json(), indent=2)),
@@ -335,6 +340,7 @@ def test_outputs_match_pinned_digests():
         "roots": sha1(dumps(roots)),
         "shao_sablin": sha1(dumps(shao_sablin)),
         "solves": sha1(dumps(solves)),
+        "counterexample": sha1(dumps(counterexample)),
     } == {
         "diminish": "09e4fb9d76d67818afbf1ecc84bf949484981ed2",
         "oracle": "671eb0d20094d697bed1b20ff25f80132ce74949",
@@ -343,6 +349,7 @@ def test_outputs_match_pinned_digests():
         "roots": "16af5b6d3b2c83808f6fc6f467cbcdda34a84286",
         "shao_sablin": "49ccd36ebe87bdb787c1ace0e056f3553bd347b6",
         "solves": "5afea3583c758f9698337fa6c860cf731b2c0e7d",
+        "counterexample": "79084a93e4485c1d0b851bab305c55437750068f",
     }
 
 # -- continuity-set check ------------------------------------------------

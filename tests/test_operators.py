@@ -9,9 +9,9 @@ from lamvar import (
     InvalidInputError,
     Monotonicity,
     PiecewiseLinear,
+    PiecewisePolynomial,
     StepFunction,
     bernstein_of,
-    kantorovich_aux,
     kantorovich_of,
     lambda_variation,
     monotone_certificate,
@@ -92,13 +92,13 @@ def test_kantorovich_factors_through_aux():
         f = random_plf(rng.randrange(2 ** 32), rng.randint(2, 8))
         n = rng.randint(1, 10)
         direct = kantorovich_of(f, n).coeffs
-        aux = kantorovich_aux(f, n)
-        factored = bernstein_of(aux, n).coeffs
-        assert factored == pytest.approx(direct, abs=1e-12)
-        # the proof's step: each increment of aux averages increments of f
-        # taken at one common shift, so aux has no more variation than f
+        # g interpolates the cell means at the nodes k/n, so B_n g reads them back
+        g = PiecewiseLinear([(k / n, v) for k, v in enumerate(direct)])
+        assert bernstein_of(g, n).coeffs == direct
+        # the proof's step: each increment of g averages increments of f
+        # taken at one common shift, so g has no more variation than f
         for seq in seqs:
-            assert lambda_variation(aux, seq).value <= lambda_variation(f, seq).value + 1e-12
+            assert lambda_variation(g, seq).value <= lambda_variation(f, seq).value + 1e-12
 
 
 def test_kantorovich_mean_of_huge_values_stays_finite():
@@ -108,12 +108,26 @@ def test_kantorovich_mean_of_huge_values_stays_finite():
     assert coeffs == pytest.approx([1.7e308 / 8 * (2 * k + 1) for k in range(4)], rel=1e-15)
 
 
+def test_kantorovich_of_polynomial_against_quadrature():
+    rng = random.Random(12)
+    for degree in [0, 60] + [rng.randint(0, 60) for _ in range(30)]:
+        p = BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(degree + 1)])
+        n = rng.randint(1, 20)
+        m = n + 1
+        for k, c in enumerate(kantorovich_of(p, n).coeffs):
+            ref, _ = quad(p.eval, k / m, (k + 1) / m)
+            assert abs(c - m * ref) <= 1e-12
+        assert p.integrate(0.375, 0.375) == 0.0
+    # the sum of the coefficients overflows here although their mean does not
+    huge = kantorovich_of(BernsteinPoly([1.7e308] * 3), 3).coeffs
+    assert huge == pytest.approx([1.7e308] * 4, rel=1e-15)
+
+
 def test_kantorovich_requires_exact_integration():
+    pp = PiecewisePolynomial([BernsteinPoly([0.0, 1.0])])
     with pytest.raises(InvalidInputError) as err:
-        kantorovich_of(BernsteinPoly([0.0, 1.0]), 3)
+        kantorovich_of(pp, 3)
     assert err.value.field == "fn"
-    with pytest.raises(InvalidInputError):
-        kantorovich_aux(BernsteinPoly([0.0, 1.0]), 3)
 
 
 def test_certificate_directions():

@@ -36,6 +36,7 @@ from lamvar import (
     wiener_profile,
 )
 from lamvar.experiments import family_sequence
+from lamvar.functions import MERGE_TOL
 from lamvar.variation import (
     _best_over_permutations,
     _restricted_search,
@@ -251,6 +252,45 @@ def test_exact_solves_within_stated_bound_of_rational_reference():
             )
             assert abs(Fraction(res.value) - exact) <= (k + 2) * u * exact
             assert exact - witness <= (k + 2) * u * exact
+
+
+def test_restricted_search_within_stated_bound_of_rational_reference():
+    """The bound of the test above, for whole _restricted_search solves on
+    given grids: Fraction scores every system the search admits (intervals
+    with points[b] - points[a] <= delta + MERGE_TOL, compared in floats as the
+    search compares it, that meet at most at endpoints) from the float values
+    and float terms.  It does not check restricted_variation's candidate set
+    or its exact/lower-bound tag."""
+    u = Fraction(1, 2 ** 53)
+    rng = random.Random(31)
+    for _ in range(60):
+        pts = sorted({0.0, 1.0, *(rng.random() for _ in range(rng.randint(0, 7)))})
+        vals = [rng.uniform(-1.0, 1.0) for _ in pts]
+        delta = rng.choice((0.125, 0.25, 0.4, 0.7, 1.0))
+        k = len(pts) - 1
+        # systems[i]: every admissible system within pts[i:], as index pairs
+        systems = [[()] for _ in range(k + 1)]
+        for i in range(k - 1, -1, -1):
+            systems[i] = systems[i + 1] + [
+                ((i, j),) + rest
+                for j in range(i + 1, k + 1)
+                if pts[j] - pts[i] <= delta + MERGE_TOL
+                for rest in systems[j]
+            ]
+        diffs = {
+            system: sorted(
+                (abs(Fraction(vals[b]) - Fraction(vals[a])) for a, b in system), reverse=True
+            )
+            for system in systems[0]
+        }
+        for name in ("constant", "linear", "power", "nlog", "explicit"):
+            seq = family_sequence(name)
+            terms = [Fraction(seq.term(r)) for r in range(1, k + 1)]
+            sums = {system: sum(d / t for d, t in zip(ds, terms)) for system, ds in diffs.items()}
+            exact = max(sums.values())
+            value, chosen = _restricted_search(pts, vals, _weights(seq, k), delta)
+            assert abs(Fraction(value) - exact) <= (k + 2) * u * exact
+            assert exact - sums[chosen] <= (k + 2) * u * exact  # KeyError: inadmissible witness
 
 
 def test_variation_point_cap():
