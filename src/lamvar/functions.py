@@ -23,8 +23,6 @@ import math
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-import numpy as np
-
 from .errors import DomainError, InvalidInputError, ResourceError, _check_positive_int
 
 # Degree above which _dc_split, the one de Casteljau kernel (evaluation reads
@@ -231,6 +229,7 @@ def _dc_split(coeffs: Sequence[float], t: float) -> Tuple[Tuple[float, ...], Tup
     n = len(coeffs) - 1
     s = 1.0 - t
     if n > _NUMPY_CUTOVER:
+        import numpy as np
         w = np.asarray(coeffs, dtype=np.float64)
         left = [float(w[0])]
         right = [float(w[-1])]
@@ -313,6 +312,7 @@ class BernsteinPoly:
     def elevate(self, r: int = 1) -> "BernsteinPoly":
         """Degree elevation by r; the function is unchanged.  One array step per
         degree does the scalar recurrence's IEEE operations in order, bit for bit."""
+        import numpy as np
         _check_positive_int(r, "elevation count")
         c = np.asarray(self.coeffs, dtype=np.float64)
         for _ in range(r):
@@ -446,6 +446,7 @@ def _halve(c: np.ndarray, cols: np.ndarray, lens: np.ndarray) -> np.ndarray:
     Columns are split _SPLIT_COEFFS coefficients at a time, which bounds the
     scratch arrays however wide the level is.
     """
+    import numpy as np
     m, s = len(c), cols.size
     out = np.empty((m, 2 * s))
     step = max(1, _SPLIT_COEFFS // m)
@@ -486,6 +487,7 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
     its mates.  A job whose visited panels pass _MAX_PANELS leaves the
     frontier; its error names its leftmost panel of that level.
     """
+    import numpy as np
     k = len(jobs)
     lens = np.array([len(dc) for dc, _ in jobs])
     c = np.full((lens.max(), k), np.nan)  # a column's rows past its length are NaN

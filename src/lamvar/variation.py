@@ -18,8 +18,6 @@ import itertools
 import math
 from typing import Iterable, List, Sequence, Tuple
 
-import numpy as np
-
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -249,17 +247,24 @@ def lambda_variation_on_set(f, seq: LambdaSequence, points: Iterable[float]) -> 
 # -- brute-force oracle ---------------------------------------------------
 
 
-def _best_over_permutations(diffs: Sequence[float], rank_terms: np.ndarray) -> float:
-    """Largest weighted sum over every row of rank assignments, or 0.0.
+def _best_over_permutations(diffs: Sequence[float], terms: Sequence[float]) -> float:
+    """Largest left-to-right sum of ``diffs[p] / terms[r]`` over every
+    assignment of the ranks ``terms[:k]`` to the k increments, or 0.0.
 
-    Row i of ``rank_terms`` holds the weights of one rank permutation; its sum
-    divides each increment by its weight and adds the quotients left to right,
-    so each row does the IEEE operations of :func:`best_assignment`'s
-    left-to-right loop in the same order, bit for bit on every Python version.
+    A dynamic program over rank subsets (Held & Karp 1962): ``best[mask]`` is
+    the largest sum of the first popcount(mask) increments over every order of
+    the ranks in mask.  Each candidate adds the quotients of one permutation in
+    the same order as a scalar loop over it, and fl(a + x) never decreases as
+    a grows, so the largest prefix plus x is the largest full sum, bit for bit.
     """
-    q = diffs / rank_terms
-    np.add.accumulate(q, axis=1, out=q)
-    return max(0.0, float(q[:, -1].max()))
+    k = len(diffs)
+    q = [[d / t for t in terms[:k]] for d in diffs]
+    bits = [(r, 1 << r) for r in range(k)]
+    best = [0.0]
+    for mask in range(1, 1 << k):
+        row = q[mask.bit_count() - 1]
+        best.append(max([best[mask ^ bit] + row[r] for r, bit in bits if mask & bit]))
+    return max(0.0, best[-1])
 
 
 def grid_oracle(f, seq: LambdaSequence, grid: Iterable[float]) -> float:
@@ -267,8 +272,7 @@ def grid_oracle(f, seq: LambdaSequence, grid: Iterable[float]) -> float:
 
     No pruning and no reliance on critical-point theory; for grids of at most
     8 points every subset's sorted assignment (which reads seq's terms anew) is
-    re-verified against every rank permutation: the rows of one weight table
-    per subset size, built from terms read once per call.
+    re-verified against every rank permutation, from terms read once per call.
     """
     xs = [float(x) for x in grid]
     pts = CriticalSet(zip(xs, xs)).points
@@ -280,15 +284,11 @@ def grid_oracle(f, seq: LambdaSequence, grid: Iterable[float]) -> float:
     terms = [seq.term(r) for r in range(1, n)]
     best = 0.0
     for size in range(2, n + 1):
-        if verify:
-            rank_terms = np.fromiter(
-                itertools.chain.from_iterable(itertools.permutations(terms[: size - 1])), float
-            ).reshape(-1, size - 1)
         for comb in itertools.combinations(range(n), size):
             diffs = [abs(vals[comb[i + 1]] - vals[comb[i]]) for i in range(size - 1)]
             val = best_assignment(diffs, seq)
             if verify:
-                brute = _best_over_permutations(diffs, rank_terms)
+                brute = _best_over_permutations(diffs, terms)
                 if abs(brute - val) > 1e-9 * max(1.0, abs(val)):
                     raise PropertyViolationError(
                         "sorted assignment disagrees with permutation enumeration"
@@ -322,6 +322,7 @@ def _restricted_search(
     does not depend on how many weight ranks the prefix already consumed.
     An overflowing value is refused.
     """
+    import numpy as np
     n = len(points)
     # Pareto children: increments must strictly increase with interval length,
     # so the scan lists them by increment ascending; branch largest first

@@ -384,3 +384,43 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ratios"][0]["ratio"] == 2.0
+
+
+def test_commands_without_arrays_run_with_numpy_blocked(tmp_path, files):
+    """oracle-check, shao-sablin and variation without --delta never import
+    numpy: in an interpreter where importing it fails they print what an
+    ordinary run prints.  diminish isolates roots on arrays and imports numpy
+    on first use, not with lamvar.cli."""
+    plf = tmp_path / "plf.json"
+    plf.write_text('{"type": "plf", "points": [[0, 0], [0.3, 1], [0.6, -0.5], [1, 0.25]]}')
+    commands = [
+        ["oracle-check", "--seed", "3", "--cases", "5"],
+        ["shao-sablin", "--lambda", files["lin"], "--points", "3"],
+        ["variation", "--fn", str(plf), "--lambda", files["lin"]],
+    ]
+    blocked = subprocess.run([sys.executable, "-c", """if True:
+        import contextlib, io, json, sys
+        sys.modules["numpy"] = None  # `import numpy` now raises ImportError
+        from lamvar.cli import main
+        runs = []
+        for argv in json.loads(sys.argv[1]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            runs.append([code, out.getvalue()])
+        print(json.dumps(runs))
+        """, json.dumps(commands)], capture_output=True, text=True)
+    assert blocked.returncode == 0, blocked.stderr
+    for argv, (code, out) in zip(commands, json.loads(blocked.stdout)):
+        ordinary = subprocess.run([sys.executable, "-m", "lamvar.cli", *argv],
+                                  capture_output=True, text=True)
+        assert (code, out) == (0, ordinary.stdout), argv
+    lazy = subprocess.run([sys.executable, "-c", """if True:
+        import sys
+        from lamvar.cli import main
+        assert "numpy" not in sys.modules
+        code = main(["diminish", "--cases", "2", "--nmax", "4"])
+        assert "numpy" in sys.modules
+        sys.exit(code)
+        """], capture_output=True, text=True)
+    assert lazy.returncode == 0, lazy.stderr
