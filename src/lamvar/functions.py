@@ -6,8 +6,8 @@ with explicit values at their jump points, polynomials in the Bernstein basis
 latter.  Polynomial evaluation, restriction and splitting all go through one
 de Casteljau kernel, ``_dc_split`` (a value is the last coefficient of the
 left half); coefficients are never converted to the monomial basis.  Degree
-elevation runs one vectorized step per degree and reproduces the scalar
-recurrence bit for bit.  Extrema are isolated by subdivision driven by
+elevation runs one vectorized step per degree over many rows at once, bit for
+bit the scalar recurrence.  Extrema are isolated by subdivision driven by
 coefficient sign certificates, level by level over every polynomial of a batch
 at once; a root is the midpoint of the gap between two certified panels of
 opposite sign.
@@ -29,8 +29,8 @@ from .errors import DomainError, InvalidInputError, ResourceError, _check_positi
 # its last left-edge coefficient), runs on numpy arrays; nothing else forks.
 # One split costs 12 us (list) vs 45 us (arrays) at degree 12 and 38 ms vs
 # 4.8 ms at degree 1023 (Python 3.11, 2-core Xeon); diminish and converge need
-# both.  Elevation, which only subtract calls, is on arrays at every degree: in
-# a converge benchmark round that costs ~10 ms at degrees 4 and 16, saves ~5 s at 1024.
+# both.  Elevation (_elevate) is on arrays at every degree, and subtract
+# elevates all the segments of its input in one call: one array step per degree.
 _NUMPY_CUTOVER = 48
 _MAX_PANELS = 20000
 # Coefficients that root isolation splits in one array step: 32 panels of a
@@ -249,6 +249,22 @@ def _dc_split(coeffs: Sequence[float], t: float) -> Tuple[Tuple[float, ...], Tup
     return tuple(left), tuple(reversed(right))
 
 
+def _elevate(rows, r: int):
+    """The coefficient rows (along the last axis of an array) elevated by
+    r >= 0 degrees.  One array step per degree does the scalar recurrence's
+    IEEE operations in order, so every row matches it bit for bit."""
+    import numpy as np
+    c = np.asarray(rows, dtype=np.float64)
+    for _ in range(r):
+        n = c.shape[-1] - 1
+        w = np.arange(1, n + 1) / (n + 1)
+        out = np.empty(c.shape[:-1] + (n + 2,))
+        out[..., 0], out[..., -1] = c[..., 0], c[..., -1]
+        out[..., 1:-1] = w * c[..., :-1] + (1.0 - w) * c[..., 1:]
+        c = out
+    return c
+
+
 class BernsteinPoly:
     """Polynomial in the Bernstein basis on a subinterval [a, b] of [0, 1].
 
@@ -310,19 +326,9 @@ class BernsteinPoly:
         return BernsteinPoly(d, self.domain)
 
     def elevate(self, r: int = 1) -> "BernsteinPoly":
-        """Degree elevation by r; the function is unchanged.  One array step per
-        degree does the scalar recurrence's IEEE operations in order, bit for bit."""
-        import numpy as np
+        """Degree elevation by r; the function is unchanged (see _elevate)."""
         _check_positive_int(r, "elevation count")
-        c = np.asarray(self.coeffs, dtype=np.float64)
-        for _ in range(r):
-            n = len(c) - 1
-            w = np.arange(1, n + 1) / (n + 1)
-            out = np.empty(n + 2)
-            out[0], out[-1] = c[0], c[-1]
-            out[1:-1] = w * c[:-1] + (1.0 - w) * c[1:]
-            c = out
-        return BernsteinPoly(c, self.domain)
+        return BernsteinPoly(_elevate([self.coeffs], r)[0], self.domain)
 
     def restrict(self, u: float, v: float) -> "BernsteinPoly":
         """The same function on [u, v], reparametrized by de Casteljau splits."""
@@ -433,7 +439,7 @@ class CriticalSet:
 # -- derivative sign analysis ---------------------------------------------
 
 
-def _halve(c: np.ndarray, cols: np.ndarray, lens: np.ndarray) -> np.ndarray:
+def _halve(c, cols, lens):
     """Both halves, at t = 1/2, of the columns cols of the coefficient-major
     array c, returned as one array [left halves | right halves].  Column
     cols[i] holds lens[i] coefficients; the NaN rows below them stay NaN.
@@ -642,24 +648,20 @@ def _raised(result):
 def subtract(p: BernsteinPoly, f: PiecewiseLinear) -> PiecewisePolynomial:
     """The difference p - f as one Bernstein piece per linear segment of f.
 
-    Each segment of f is written as a degree-1 piece on its own interval,
-    elevated to the degree of p, and subtracted coefficientwise from the
-    matching restriction of p.
+    The restrictions of p to the segments and the segments themselves, as
+    degree-1 rows, are elevated to a common degree (p's, or 1 for a constant
+    p), each set in one call, and subtracted row by row.  An overflowing
+    difference is refused as a non-finite coefficient of its piece.
     """
+    import numpy as np
     if p.domain != (0.0, 1.0):
         raise DomainError("p must be defined on all of [0, 1]")
-    pieces = []
-    for i in range(len(f.xs) - 1):
-        u, v = f.xs[i], f.xs[i + 1]
-        local = p.restrict(u, v) if (u, v) != (0.0, 1.0) else p
-        seg = BernsteinPoly((f.ys[i], f.ys[i + 1]), (u, v))
-        if p.degree > 1:
-            seg = seg.elevate(p.degree - 1)
-        elif p.degree == 0:
-            local = local.elevate(1)
-        coeffs = tuple(a - b for a, b in zip(local.coeffs, seg.coeffs))
-        pieces.append(BernsteinPoly(coeffs, (u, v)))
-    return PiecewisePolynomial(pieces)
+    n = max(p.degree, 1)
+    spans = list(zip(f.xs, f.xs[1:]))
+    local = _elevate([p.restrict(u, v).coeffs for u, v in spans], n - p.degree)
+    with np.errstate(over="ignore"):
+        diffs = (local - _elevate(list(zip(f.ys, f.ys[1:])), n - 1)).tolist()
+    return PiecewisePolynomial([BernsteinPoly(c, span) for c, span in zip(diffs, spans)])
 
 
 # -- named functions ------------------------------------------------------

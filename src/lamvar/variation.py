@@ -127,9 +127,15 @@ def best_assignment(values: Sequence[float], seq: LambdaSequence) -> float:
         if not 0.0 <= v < math.inf:  # NaN too
             reason = "values must be nonnegative" if v < 0.0 else "values must be finite"
             raise InvalidInputError(reason, field=f"values[{i}]")
+    return _sorted_sum(vals, [seq.term(r) for r in range(1, len(vals) + 1)])
+
+
+def _sorted_sum(values: Sequence[float], terms: Sequence[float]) -> float:
+    """The values sorted descending, divided by terms[0], terms[1], ... and
+    added left to right: the sum of best_assignment and grid_oracle."""
     total = 0.0  # not sum(): from CPython 3.12 it compensates, changing the bits
-    for rank, v in enumerate(sorted(vals, reverse=True)):  # stable: equal values (+-0.0 too) keep their order
-        total += v / seq.term(rank + 1)
+    for v, t in zip(sorted(values, reverse=True), terms):  # stable: equal values (+-0.0 too) keep their order
+        total += v / t
     return total
 
 
@@ -271,8 +277,9 @@ def grid_oracle(f, seq: LambdaSequence, grid: Iterable[float]) -> float:
     """Independent brute-force maximum over ALL subsets of a small grid.
 
     No pruning and no reliance on critical-point theory; for grids of at most
-    8 points every subset's sorted assignment (which reads seq's terms anew) is
-    re-verified against every rank permutation, from terms read once per call.
+    8 points every subset's sorted assignment is re-verified against every
+    rank permutation.  Both read the terms once per call.  A grid whose
+    values span more than the largest float is refused.
     """
     xs = [float(x) for x in grid]
     pts = CriticalSet(zip(xs, xs)).points
@@ -280,13 +287,15 @@ def grid_oracle(f, seq: LambdaSequence, grid: Iterable[float]) -> float:
     if n > ORACLE_POINT_CAP:
         raise ResourceError(f"grid of {n} points exceeds the oracle cap of {ORACLE_POINT_CAP}")
     vals = list(map(f.eval, pts))
+    if not math.isfinite(max(vals, default=0.0) - min(vals, default=0.0)):
+        raise InvalidInputError("the variation overflows", field="fn")
     verify = n <= 8
     terms = [seq.term(r) for r in range(1, n)]
     best = 0.0
     for size in range(2, n + 1):
         for comb in itertools.combinations(range(n), size):
             diffs = [abs(vals[comb[i + 1]] - vals[comb[i]]) for i in range(size - 1)]
-            val = best_assignment(diffs, seq)
+            val = _sorted_sum(diffs, terms)
             if verify:
                 brute = _best_over_permutations(diffs, terms)
                 if abs(brute - val) > 1e-9 * max(1.0, abs(val)):
@@ -410,18 +419,16 @@ def _chain_closure_holds(f: PiecewiseLinear, pts: Sequence[float], delta: float)
     to equal the true short-interval supremum of a piecewise-linear function
     (sliding any interval chain until an endpoint hits a breakpoint is then
     representable)."""
-    tol = 1e-9
-
     def present(x: float) -> bool:
-        i = bisect.bisect_left(pts, x - tol)
-        return i < len(pts) and abs(pts[i] - x) <= tol
+        i = bisect.bisect_left(pts, x - MERGE_TOL)
+        return i < len(pts) and abs(pts[i] - x) <= MERGE_TOL
 
     for bp in f.xs:
         for direction in (1.0, -1.0):
             k = 1
             while True:
                 x = bp + direction * k * delta
-                if x < -tol or x > 1.0 + tol:
+                if x < -MERGE_TOL or x > 1.0 + MERGE_TOL:
                     break
                 if not present(min(1.0, max(0.0, x))):
                     return False
@@ -515,7 +522,7 @@ def lambda_norm(f, seq: LambdaSequence) -> float:
 def _norm_on_points(f, seq: LambdaSequence, pts: Sequence[float]) -> float:
     """lambda_norm of f, whose critical points pts are already known."""
     vals = _candidate_values(f, pts)
-    norm = _subset_search(vals, _weights(seq, len(pts) - 1))[0] + abs(f.eval(0.0))
+    norm = _subset_search(vals, _weights(seq, len(pts) - 1))[0] + abs(vals[0])  # pts[0] is 0.0
     if not math.isfinite(norm):
         raise InvalidInputError("the norm overflows", field="fn")
     return norm

@@ -402,13 +402,13 @@ def test_permutation_columns_match_scalar_loop_bit_for_bit():
     (9, 2e-9, False),
 ])
 def test_grid_oracle_cross_check_fires(monkeypatch, points, off, raises):
-    exact = lamvar.variation.best_assignment
+    exact = lamvar.variation._sorted_sum
 
-    def skewed(values, seq):
-        v = exact(values, seq)
+    def skewed(values, terms):
+        v = exact(values, terms)
         return v + off * max(1.0, abs(v))
 
-    monkeypatch.setattr(lamvar.variation, "best_assignment", skewed)
+    monkeypatch.setattr(lamvar.variation, "_sorted_sum", skewed)
     f = random_plf(11, 6)
     grid = [k / (points - 1) for k in range(points)]
     if raises:
@@ -423,6 +423,10 @@ def test_grid_oracle_guards():
     assert grid_oracle(ident, SEQ_N, [k / 15 for k in range(16)]) == pytest.approx(1.0)
     with pytest.raises(ResourceError, match="oracle cap of 16"):
         grid_oracle(ident, SEQ_N, [k / 16 for k in range(17)])
+    # every value and increment is finite, but the span from 0 to 1 is not
+    wide = PiecewiseLinear([(0, 1e308), (0.5, 0), (1, -1e308)])
+    with pytest.raises(InvalidInputError, match="fn: the variation overflows"):
+        grid_oracle(wide, SEQ_N, [0, 0.5, 1])
 
 
 def test_grid_oracle_peak_memory():
