@@ -23,7 +23,7 @@ from .functions import (
     critical_points,
     critical_points_many,
     named_function,
-    subtract,
+    subtract_many,
 )
 from .lambda_seq import LambdaSequence
 from .operators import _check_degree, bernstein_of, kantorovich_of
@@ -31,7 +31,7 @@ from .serialize import dumps, format_float
 from .variation import (
     SOLVER_POINT_CAP,
     _candidate_values,
-    _norm_on_points,
+    _norms_many,
     _subset_search,
     _weights,
     lambda_norm,
@@ -282,6 +282,13 @@ def run_diminish_campaign(
     return ExperimentReport("diminish", config, records, violations, summary)
 
 
+#: The de Casteljau work, the sum of n*n/2 over the degrees, that a
+#: counterexample run may take: evaluating a degree-n image takes about n*n/2
+#: steps.  `--nmax 1982`, the largest run it admits, takes about 10 s on two
+#: cores.
+COUNTEREXAMPLE_WORK_BUDGET = 1_300_000_000
+
+
 def run_counterexample(
     seq: LambdaSequence,
     delta: float = 0.75,
@@ -295,7 +302,9 @@ def run_counterexample(
     form |f(delta)-f(0)|/term(1) + |f(1)-f(delta)|/term(2).  For each degree n
     the same system applied to the image polynomial is a valid lower bound
     (both lengths <= delta), and must already exceed the baseline; the value
-    of the polynomial at delta must also exceed f(delta).
+    of the polynomial at delta must also exceed f(delta).  Degrees above the
+    degree cap, or whose work exceeds COUNTEREXAMPLE_WORK_BUDGET, are refused
+    before the first image.
     """
     if not seq.term(1) < seq.term(2):
         raise DomainError("weight sequence must have term(1) < term(2)")
@@ -307,6 +316,12 @@ def run_counterexample(
         raise DomainError("n_values must not be empty")
     for n in ns:
         _check_degree(n)
+    work = sum(n * n for n in ns) / 2
+    if work > COUNTEREXAMPLE_WORK_BUDGET:
+        raise ResourceError(
+            f"de Casteljau work {work:.0f} (the sum of n*n/2 over the degrees) exceeds "
+            f"the budget of {COUNTEREXAMPLE_WORK_BUDGET}"
+        )
 
     f = named_function("counterexample")
     f_at_delta = f.eval(delta)
@@ -359,8 +374,10 @@ def run_convergence_study(
     (exact reproduction) counts as converged.  The criterion is a heuristic that
     depends on the schedule (linear weights: random_plf(2, 8) fails it over
     4..256 and passes over 4..1024).  Rows that exhaust a solver cap
-    are recorded as skipped with the reason and excluded from the trend.  The
-    pieces of a row's differences and B_n f are isolated in one batch.
+    are recorded as skipped with the reason and excluded from the trend.  A
+    row subtracts f from B_n f and K_n f in one call (subtract_many), then
+    isolates the two differences and B_n f in one batch and evaluates them
+    in one pass (_norms_many).
     """
     if not isinstance(f, PiecewiseLinear):
         raise DomainError("convergence study expects a piecewise-linear input")
@@ -383,12 +400,9 @@ def run_convergence_study(
     for idx, n in enumerate(ns):
         try:
             p = bernstein_of(f, n)
-            q_b = subtract(p, f)
-            q_k = subtract(kantorovich_of(f, n), f)
-            crit_b, crit_k, crit_p = critical_points_many([q_b, q_k, p])
-            d_b = _norm_on_points(q_b, seq, _raised(crit_b).points)
-            d_k = _norm_on_points(q_k, seq, _raised(crit_k).points)
-            gap = abs(_norm_on_points(p, seq, _raised(crit_p).points) - norm_f)
+            q_b, q_k = subtract_many([p, kantorovich_of(f, n)], f)
+            d_b, d_k, norm_p = _norms_many([q_b, q_k, p], seq)
+            gap = abs(norm_p - norm_f)
         except ResourceError as exc:
             records.append(_skipped(idx, {"n": n}, exc))
             continue

@@ -4,7 +4,8 @@ Four exactly-representable classes: piecewise-linear functions, step functions
 with explicit values at their jump points, polynomials in the Bernstein basis
 (optionally restricted to a subinterval), and piecewise collections of the
 latter.  Polynomial evaluation, restriction and splitting all go through one
-de Casteljau kernel, ``_dc_split`` (a value is the last coefficient of the
+de Casteljau kernel, ``_dc_split_many``, which splits many coefficient rows of
+one length, each at its own parameter (a value is the last coefficient of the
 left half); coefficients are never converted to the monomial basis.  Degree
 elevation runs one vectorized step per degree over many rows at once, bit for
 bit the scalar recurrence.  Extrema are isolated by subdivision driven by
@@ -25,12 +26,12 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DomainError, InvalidInputError, ResourceError, _check_positive_int
 
-# Degree above which _dc_split, the one de Casteljau kernel (evaluation reads
-# its last left-edge coefficient), runs on numpy arrays; nothing else forks.
-# One split costs 12 us (list) vs 45 us (arrays) at degree 12 and 38 ms vs
-# 4.8 ms at degree 1023 (Python 3.11, 2-core Xeon); diminish and converge need
-# both.  Elevation (_elevate) is on arrays at every degree, and subtract
-# elevates all the segments of its input in one call: one array step per degree.
+# Degree above which _dc_split_many, the one de Casteljau split kernel
+# (evaluation reads its last left-edge coefficient), runs on numpy arrays: one
+# array step per degree for all its rows.  One row costs 12 us (list) vs 45 us
+# (arrays) at degree 12 and 38 ms vs 3-5 ms at degree 1023 (Python 3.11, 2-core
+# Xeon); diminish and converge need both.  Elevation (_elevate) is on arrays at
+# every degree.
 _NUMPY_CUTOVER = 48
 _MAX_PANELS = 20000
 # Coefficients that root isolation splits in one array step: 32 panels of a
@@ -224,29 +225,56 @@ class StepFunction:
 # -- de Casteljau kernel --------------------------------------------------
 
 
-def _dc_split(coeffs: Sequence[float], t: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Coefficients of the two halves at parameter t (both on local [0,1])."""
-    n = len(coeffs) - 1
-    s = 1.0 - t
+def _dc_split_many(rows: Sequence[Sequence[float]], ts: Sequence[float]):
+    """Both halves of every coefficient row rows[i] at its parameter ts[i]
+    (all on local [0,1]): (lefts, rights), one row each per input row.  The
+    rows have one length n + 1; above _NUMPY_CUTOVER the halves are two
+    (rows, n + 1) float arrays, else lists of tuples.
+
+    Step m overwrites the first m coefficients with ``s * w[i] + t * w[i + 1]``
+    in place: coefficient 0 is then the left half's next one, and coefficient
+    m, which no later step writes, is the right half's.  Above
+    _NUMPY_CUTOVER one array step advances every row with these IEEE
+    operations, so each row's halves do not depend on its mates.
+    """
+    if not rows:
+        return [], []
+    n = len(rows[0]) - 1
     if n > _NUMPY_CUTOVER:
         import numpy as np
-        w = np.asarray(coeffs, dtype=np.float64)
-        left = [float(w[0])]
-        right = [float(w[-1])]
-        for _ in range(n):
-            w = s * w[:-1] + t * w[1:]
-            left.append(float(w[0]))
-            right.append(float(w[-1]))
-        return tuple(left), tuple(reversed(right))
-    w = list(coeffs)
-    left = [w[0]]
-    right = [w[-1]]
-    for m in range(n, 0, -1):
-        for i in range(m):
-            w[i] = s * w[i] + t * w[i + 1]
-        left.append(w[0])
-        right.append(w[m - 1])
-    return tuple(left), tuple(reversed(right))
+        k = len(rows)
+        # coefficient-major: coefficient i of every row at [i * k, (i + 1) * k)
+        w = np.array(rows, dtype=np.float64).T.reshape(-1)
+        t = np.tile(np.asarray(ts, dtype=np.float64), n + 1)
+        s = 1.0 - t
+        left = np.empty((n + 1, k))
+        left[0] = w[:k]
+        for j, m in enumerate(range(n * k, 0, -k), 1):
+            h = t[:m] * w[k : m + k]
+            a = w[:m]
+            a *= s[:m]
+            a += h  # s * w[i] + t * w[i + 1]: IEEE addition commutes
+            left[j] = w[:k]
+        return left.T, w.reshape(n + 1, k).T
+    lefts, rights = [], []
+    for coeffs, t in zip(rows, ts):
+        s = 1.0 - t
+        w = list(coeffs)
+        left = [w[0]]
+        for m in range(n, 0, -1):
+            for i in range(m):
+                w[i] = s * w[i] + t * w[i + 1]
+            left.append(w[0])
+        lefts.append(tuple(left))
+        rights.append(tuple(w))
+    return lefts, rights
+
+
+def _dc_split(coeffs: Sequence[float], t: float):
+    """Coefficients of the two halves at parameter t (both on local [0,1]):
+    _dc_split_many's one-row case, arrays above _NUMPY_CUTOVER."""
+    lefts, rights = _dc_split_many([coeffs], [t])
+    return lefts[0], rights[0]
 
 
 def _elevate(rows, r: int):
@@ -263,6 +291,26 @@ def _elevate(rows, r: int):
         out[..., 1:-1] = w * c[..., :-1] + (1.0 - w) * c[..., 1:]
         c = out
     return c
+
+
+def _restrictions(rows: Sequence[Sequence[float]], spans: Sequence[Tuple[float, float]]):
+    """Every coefficient row of rows (one length, on local [0, 1]) restricted
+    to every local span (u, v), row-major: the right half at u where u > 0,
+    then of that the left half at (v - u)/(1 - u) where v < 1.  Two kernel
+    calls in all, whatever the number of rows and spans."""
+    local = [row for row in rows for _ in spans]
+    uv = list(spans) * len(rows)
+    cut = [i for i, (u, _) in enumerate(uv) if u > 0.0]
+    _, rights = _dc_split_many([local[i] for i in cut], [uv[i][0] for i in cut])
+    for i, c in zip(cut, rights):
+        local[i] = c
+    cut = [i for i, (_, v) in enumerate(uv) if v < 1.0]
+    lefts, _ = _dc_split_many(
+        [local[i] for i in cut], [(uv[i][1] - uv[i][0]) / (1.0 - uv[i][0]) for i in cut]
+    )
+    for i, c in zip(cut, lefts):
+        local[i] = c
+    return local
 
 
 class BernsteinPoly:
@@ -304,15 +352,20 @@ class BernsteinPoly:
             raise DomainError(f"argument {x!r} lies outside [{self.a}, {self.b}]")
         return min(1.0, max(0.0, t))
 
-    def eval(self, x: float) -> float:
+    def _at(self, x: float) -> Tuple[float, float]:
+        """(t, end): x's local parameter, and the end coefficient it lands on
+        (0.0 inside the domain).  At an end each kernel step adds a signed
+        zero to the end coefficient, which leaves a nonzero one as it is, so
+        that one is the value; a zero one goes through the kernel, which
+        turns -0.0 into +0.0 next to a positive neighbour."""
         t = self._local(x)
-        # At an end each kernel step adds a signed zero to the end coefficient,
-        # which leaves a nonzero one as it is; a zero one goes through the
-        # kernel, which turns -0.0 into +0.0 next to a positive neighbour.
-        end = self.coeffs[0] if t == 0.0 else self.coeffs[-1] if t == 1.0 else 0.0
+        return t, self.coeffs[0] if t == 0.0 else self.coeffs[-1] if t == 1.0 else 0.0
+
+    def eval(self, x: float) -> float:
+        t, end = self._at(x)
         if end != 0.0:
             return end
-        return _dc_split(self.coeffs, t)[0][-1]
+        return float(_dc_split(self.coeffs, t)[0][-1])
 
     __call__ = eval
 
@@ -337,15 +390,8 @@ class BernsteinPoly:
                 f"[{u}, {v}] is not a nondegenerate subinterval of [{self.a}, {self.b}]"
             )
         width = self.b - self.a
-        tu = (u - self.a) / width
-        tv = (v - self.a) / width
-        c = self.coeffs
-        if tu > 0.0:
-            _, c = _dc_split(c, tu)
-        if tv < 1.0:
-            t2 = (tv - tu) / (1.0 - tu)
-            c, _ = _dc_split(c, t2)
-        return BernsteinPoly(c, (u, v))
+        span = ((u - self.a) / width, (v - self.a) / width)
+        return BernsteinPoly(_restrictions([self.coeffs], [span])[0], (u, v))
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over [a, b]: the width times the mean of the coefficients
@@ -395,10 +441,13 @@ class PiecewisePolynomial:
         self.pieces = pieces
         self._rights = tuple(p.b for p in pieces)
 
-    def eval(self, x: float) -> float:
+    def _piece(self, x: float) -> BernsteinPoly:
+        """The piece that evaluates x: the left one at a seam."""
         _check_unit_interval(x)
-        i = bisect.bisect_left(self._rights, x)
-        return self.pieces[i].eval(x)
+        return self.pieces[bisect.bisect_left(self._rights, x)]
+
+    def eval(self, x: float) -> float:
+        return self._piece(x).eval(x)
 
     __call__ = eval
 
@@ -450,7 +499,9 @@ def _halve(c, cols, lens):
     together.  Row j is final after step j and is the left half's coefficient
     j; row lens - 1 after step j is the right half's coefficient lens - 1 - j.
     Columns are split _SPLIT_COEFFS coefficients at a time, which bounds the
-    scratch arrays however wide the level is.
+    scratch arrays however wide the level is.  In a chunk whose columns all
+    end on its last row, that row is the right halves' coefficient, copied
+    as it is instead of gathered.
     """
     import numpy as np
     m, s = len(c), cols.size
@@ -467,10 +518,14 @@ def _halve(c, cols, lens):
         at = (lens[a:b] - 1) * (b - a) + np.arange(b - a)
         flat = w.reshape(-1)  # a view: take reads w's current rows
         flat.take(at, out=diag[1])
+        full = bool((lens[a:b] == m).all())
         for j in range(1, m):
             np.multiply(w[j - 1 :], 0.5, out=h[j - 1 :])
             np.add(h[j - 1 : -1], h[j:], out=w[j:])
-            flat.take(at, out=diag[1 + j])
+            if full:
+                diag[1 + j] = w[-1]
+            else:
+                flat.take(at, out=diag[1 + j])
         out[:, a:b] = w
         # right row i is diag[lens - i]; negative positions clip to NaN row 0
         back = at + (b - a) - np.arange(m)[:, None] * (b - a)
@@ -645,23 +700,65 @@ def _raised(result):
 # -- combinations ---------------------------------------------------------
 
 
-def subtract(p: BernsteinPoly, f: PiecewiseLinear) -> PiecewisePolynomial:
-    """The difference p - f as one Bernstein piece per linear segment of f.
+def eval_many(fs: Sequence[object], points: Sequence[Sequence[float]]) -> List[List[float]]:
+    """The values of every Bernstein or piecewise polynomial fs[i] at its
+    points points[i]: the floats f.eval gives.  The de Casteljau evaluations
+    run in one kernel call per degree, and a point that lands on a nonzero
+    end coefficient takes it, as eval does."""
+    out: List[List[float]] = []
+    pending = {}  # row length: (slots (i, j) in out, coefficient rows, parameters)
+    for i, (f, pts) in enumerate(zip(fs, points)):
+        vals = []
+        for j, x in enumerate(pts):
+            p = f if isinstance(f, BernsteinPoly) else f._piece(x)
+            t, end = p._at(x)
+            vals.append(end)
+            if end == 0.0:
+                slots, rows, ts = pending.setdefault(len(p.coeffs), ([], [], []))
+                slots.append((i, j))
+                rows.append(p.coeffs)
+                ts.append(t)
+        out.append(vals)
+    for slots, rows, ts in pending.values():
+        for (i, j), left in zip(slots, _dc_split_many(rows, ts)[0]):
+            out[i][j] = float(left[-1])
+    return out
 
-    The restrictions of p to the segments and the segments themselves, as
-    degree-1 rows, are elevated to a common degree (p's, or 1 for a constant
-    p), each set in one call, and subtracted row by row.  An overflowing
-    difference is refused as a non-finite coefficient of its piece.
+
+def subtract_many(ps: Sequence[BernsteinPoly], f: PiecewiseLinear) -> List[PiecewisePolynomial]:
+    """The differences p - f of every p of ps, each one Bernstein piece per
+    linear segment of f.
+
+    The polynomials of each degree are restricted to every segment in two
+    kernel calls (_restrictions); the restrictions and the segments, as
+    degree-1 rows, are elevated to a common degree (the polynomials', or 1
+    for constants), each set in one call, and subtracted row by row.  An
+    overflowing difference is refused as a non-finite coefficient of its
+    piece.
     """
     import numpy as np
-    if p.domain != (0.0, 1.0):
+    if any(p.domain != (0.0, 1.0) for p in ps):
         raise DomainError("p must be defined on all of [0, 1]")
-    n = max(p.degree, 1)
     spans = list(zip(f.xs, f.xs[1:]))
-    local = _elevate([p.restrict(u, v).coeffs for u, v in spans], n - p.degree)
-    with np.errstate(over="ignore"):
-        diffs = (local - _elevate(list(zip(f.ys, f.ys[1:])), n - 1)).tolist()
-    return PiecewisePolynomial([BernsteinPoly(c, span) for c, span in zip(diffs, spans)])
+    lines = list(zip(f.ys, f.ys[1:]))
+    diffs = {}  # index in ps: the coefficient rows of its pieces
+    for degree in sorted({p.degree for p in ps}):
+        group = [i for i, p in enumerate(ps) if p.degree == degree]
+        n = max(degree, 1)
+        local = _elevate(_restrictions([ps[i].coeffs for i in group], spans), n - degree)
+        with np.errstate(over="ignore"):
+            rows = local.reshape(len(group), len(spans), n + 1) - _elevate(lines, n - 1)
+        diffs.update(zip(group, rows.tolist()))
+    return [
+        PiecewisePolynomial([BernsteinPoly(c, span) for c, span in zip(diffs[i], spans)])
+        for i in range(len(ps))
+    ]
+
+
+def subtract(p: BernsteinPoly, f: PiecewiseLinear) -> PiecewisePolynomial:
+    """The difference p - f as one Bernstein piece per linear segment of f
+    (subtract_many's one-element case)."""
+    return subtract_many([p], f)[0]
 
 
 # -- named functions ------------------------------------------------------

@@ -25,7 +25,16 @@ from .errors import (
     ResourceError,
     _check_positive_int,
 )
-from .functions import MERGE_TOL, CriticalSet, PiecewiseLinear, critical_points, subtract
+from .functions import (
+    MERGE_TOL,
+    CriticalSet,
+    PiecewiseLinear,
+    _raised,
+    critical_points,
+    critical_points_many,
+    eval_many,
+    subtract,
+)
 from .lambda_seq import LambdaSequence
 
 #: Exact-solver cap on candidate points (subset search is exponential).
@@ -216,16 +225,26 @@ def _subset_search(values: Sequence[float], w: Sequence[float]) -> Tuple[float, 
     return best_val, best_sub
 
 
-def _candidate_values(f, pts: Sequence[float]) -> List[float]:
-    """f at the merged candidate points pts of an exact solve, once their
-    count is checked against SOLVER_POINT_CAP."""
+def _candidate_error(pts: Sequence[float]):
+    """The error an exact solve over the merged candidate points pts raises
+    before it evaluates anything (too few points, or more than
+    SOLVER_POINT_CAP), or None."""
     if len(pts) < 2:
-        raise DomainError("need at least two distinct points")
+        return DomainError("need at least two distinct points")
     if len(pts) > SOLVER_POINT_CAP:
-        raise ResourceError(
+        return ResourceError(
             f"{len(pts)} candidate points exceed the solver cap of "
             f"{SOLVER_POINT_CAP}; use grid_oracle for a lower bound"
         )
+    return None
+
+
+def _candidate_values(f, pts: Sequence[float]) -> List[float]:
+    """f at the merged candidate points pts of an exact solve, once their
+    count is checked."""
+    error = _candidate_error(pts)
+    if error:
+        raise error
     return list(map(f.eval, pts))
 
 
@@ -516,16 +535,29 @@ def tail_variation(f, seq: LambdaSequence, m: int) -> float:
 
 def lambda_norm(f, seq: LambdaSequence) -> float:
     """Variation plus |f(0)|; a norm on the space where the variation is finite."""
-    return _norm_on_points(f, seq, critical_points(f).points)
+    return _norm_of_values(_candidate_values(f, critical_points(f).points), seq)
 
 
-def _norm_on_points(f, seq: LambdaSequence, pts: Sequence[float]) -> float:
-    """lambda_norm of f, whose critical points pts are already known."""
-    vals = _candidate_values(f, pts)
-    norm = _subset_search(vals, _weights(seq, len(pts) - 1))[0] + abs(vals[0])  # pts[0] is 0.0
+def _norm_of_values(vals: List[float], seq: LambdaSequence) -> float:
+    """lambda_norm from the values at the critical points, the first at 0.0."""
+    norm = _subset_search(vals, _weights(seq, len(vals) - 1))[0] + abs(vals[0])
     if not math.isfinite(norm):
         raise InvalidInputError("the norm overflows", field="fn")
     return norm
+
+
+def _norms_many(fs: Sequence[object], seq: LambdaSequence) -> List[float]:
+    """lambda_norm of every Bernstein or piecewise polynomial of fs, with one
+    batch of critical sets and one evaluation pass (eval_many) over them.
+    Raises what the first failing lambda_norm of fs in order would: its
+    critical-set error, its candidate count, or its norm overflow."""
+    crits = [
+        crit if isinstance(crit, Exception) else _candidate_error(crit.points) or crit
+        for crit in critical_points_many(fs)
+    ]
+    ready = [(f, crit.points) for f, crit in zip(fs, crits) if not isinstance(crit, Exception)]
+    vals = iter(eval_many([f for f, _ in ready], [pts for _, pts in ready]))
+    return [_norm_of_values(next(vals), seq) for _ in map(_raised, crits)]
 
 
 def lambda_distance(p, f: PiecewiseLinear, seq: LambdaSequence) -> float:

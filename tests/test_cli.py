@@ -212,9 +212,12 @@ def test_operator_degree_above_cap_exits_4(capsys, files):
      "cap of 512; lower the resolution"),
     (["counterexample", "--lambda", "lin", "--nmax", "70000"],
      "degree 65537 exceeds the degree cap of 65536"),
+    (["counterexample", "--lambda", "lin", "--nmax", "1983"],
+     "de Casteljau work 1300604752 (the sum of n*n/2 over the degrees) exceeds the budget "
+     "of 1300000000"),
     (["diminish", "--nmax", "70000"],
      "degree 70000 exceeds the degree cap of 65536"),
-], ids=["resolution", "counterexample-degree", "diminish-degree"])
+], ids=["resolution", "counterexample-degree", "counterexample-work", "diminish-degree"])
 def test_resource_cap_trips_before_the_work(capsys, files, argv, message):
     started = time.perf_counter()
     code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])

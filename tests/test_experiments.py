@@ -520,31 +520,54 @@ def test_convergence_row_errors(monkeypatch):
     schedule = [4, 16, 64]
     plain = run_convergence_study(f, seq, schedule)
     k16 = kantorovich_of(f, 16).coeffs
-    real_subtract = lamvar.experiments.subtract
+    real_subtract_many = lamvar.experiments.subtract_many
 
-    def subtract(p, g):
-        if p.coeffs == k16:
+    def subtract_many(ps, g):
+        if any(p.coeffs == k16 for p in ps):
             raise InvalidInputError("stand-in overflow", field="fn")
-        return real_subtract(p, g)
+        return real_subtract_many(ps, g)
 
-    monkeypatch.setattr(lamvar.experiments, "subtract", subtract)
+    monkeypatch.setattr(lamvar.experiments, "subtract_many", subtract_many)
     with pytest.raises(InvalidInputError, match="fn: stand-in overflow"):
         run_convergence_study(f, seq, schedule)
 
     # the overflow is met before any norm is solved, so a Bernstein-side cap
     # in the same row does not hide it
-    real_norm = lamvar.experiments._norm_on_points
+    real_norms_many = lamvar.experiments._norms_many
 
-    def norm_on_points(q, seq, pts):
-        if isinstance(q, PiecewisePolynomial) and q.pieces[0].degree == 16:
+    def norms_many(fs, seq):
+        if isinstance(fs[0], PiecewisePolynomial) and fs[0].pieces[0].degree == 16:
             raise ResourceError("stand-in cap")
-        return real_norm(q, seq, pts)
+        return real_norms_many(fs, seq)
 
-    monkeypatch.setattr(lamvar.experiments, "_norm_on_points", norm_on_points)
+    monkeypatch.setattr(lamvar.experiments, "_norms_many", norms_many)
     with pytest.raises(InvalidInputError, match="fn: stand-in overflow"):
         run_convergence_study(f, seq, schedule)
 
-    monkeypatch.setattr(lamvar.experiments, "subtract", real_subtract)
+    monkeypatch.setattr(lamvar.experiments, "subtract_many", real_subtract_many)
     rep = run_convergence_study(f, seq, schedule)
     assert rep.cases[1]["outputs"] == {"skipped": True, "reason": "stand-in cap"}
     assert [rep.cases[0], rep.cases[2]] == [plain.cases[0], plain.cases[2]]
+
+
+def test_convergence_row_fails_in_norm_order(monkeypatch):
+    # B_n f - f's norm overflows (f's own norm does not) while B_n f's root
+    # isolation stalls: the difference comes first, so the run fails (exit
+    # 2) instead of skipping every row, although all three are solved as one
+    # batch
+    big = 1.7976931348623157e308 / 1.55
+    f = PiecewiseLinear([(0.0, 0.0), (0.05, big), (0.95, big), (1.0, 0.0)])
+    seq = LambdaSequence.linear(1.0, 0.0)
+    real_crits = lamvar.variation.critical_points_many
+
+    def critical_points_many(fs):
+        crits = real_crits(fs)
+        return [ResourceError("stand-in stall") if isinstance(g, BernsteinPoly) else c
+                for g, c in zip(fs, crits)]
+
+    monkeypatch.setattr(lamvar.variation, "critical_points_many", critical_points_many)
+    with pytest.raises(InvalidInputError, match="fn: the variation overflows"):
+        run_convergence_study(f, seq, [2, 4])
+    # with the differences' norms finite, the stall skips the rows
+    rep = run_convergence_study(named_function("abs_mid"), seq, [4, 16])
+    assert [c["outputs"] for c in rep.cases] == [{"skipped": True, "reason": "stand-in stall"}] * 2

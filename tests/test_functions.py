@@ -25,6 +25,7 @@ from lamvar import (
     subtract,
 )
 from lamvar import functions, variation
+from lamvar.experiments import random_plf
 
 
 def _sign_change_params(dcoeffs, tol):
@@ -322,6 +323,40 @@ def test_elevate_bits_match_scalar_recurrence():
     assert functions._elevate(rows, 0).tolist() == rows
 
 
+def _split_reference(coeffs, t):
+    # the scalar de Casteljau split: a fresh list per step
+    s = 1.0 - t
+    w = list(coeffs)
+    left, right = [w[0]], [w[-1]]
+    while len(w) > 1:
+        w = [s * a + t * b for a, b in zip(w, w[1:])]
+        left.append(w[0])
+        right.append(w[-1])
+    return tuple(left), tuple(right[::-1])
+
+
+def _hexes(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+def test_split_kernel_bits_match_scalar_reference():
+    # many rows of one length, each at its own t, in one call: each row as
+    # if split alone, signed zeros included, on both sides of the cutover
+    rng = random.Random(23)
+    ts = [0.0, 0.5, rng.random(), 1.0]
+    for n in (1, 12, 48, 49, 64, 200, 1024):
+        rows = [[rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0))) for _ in range(n + 1)]
+                for _ in ts]
+        rows[0][:2] = [-0.0, 0.5]
+        lefts, rights = functions._dc_split_many(rows, ts)
+        expected = [_split_reference(row, t) for row, t in zip(rows, ts)]
+        assert _hexes(lefts) == _hexes([left for left, _ in expected])
+        assert _hexes(rights) == _hexes([right for _, right in expected])
+        # the one-row case
+        assert _hexes(functions._dc_split(rows[2], ts[2])) == _hexes(expected[2])
+    assert functions._dc_split_many([], []) == ([], [])
+
+
 def test_restrict_keeps_function():
     rng = random.Random(8)
     for _ in range(10):
@@ -616,8 +651,17 @@ def test_split_chunks_keep_the_bits(monkeypatch):
     degrees = (1, 5, 12, 49, 64, 100)
     polys = [BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)]) for n in degrees]
     expected = [_bits(c) for c in critical_points_many(polys * 2)]
-    monkeypatch.setattr(functions, "_SPLIT_COEFFS", 200)  # 2 to 100 columns a chunk
-    assert [_bits(c) for c in critical_points_many(polys * 2)] == expected
+    # derivatives of one length above the cutover: every chunk's columns end
+    # on its last row, which the right halves copy instead of gathering
+    jobs = [functions._derivative_job(BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)]))
+            for n in (50, 50, 50, 80)]
+    roots = [[r.hex() for r in _reference_sign_change_params(dc, tol)] for dc, tol in jobs]
+    for split in (functions._SPLIT_COEFFS, 200):  # 200: 2 to 100 columns a chunk
+        monkeypatch.setattr(functions, "_SPLIT_COEFFS", split)
+        assert [_bits(c) for c in critical_points_many(polys * 2)] == expected
+        for batch in (slice(0, 3), slice(3, 4), slice(0, 4)):  # the last one mixes lengths
+            got = functions._sign_change_params_many(jobs[batch])
+            assert [[r.hex() for r in rs] for rs in got] == roots[batch]
 
 
 @pytest.mark.parametrize(
@@ -631,6 +675,13 @@ def test_eval_at_an_end_keeps_the_kernel_bits(coeffs):
     for p in polys:
         for x, t in ((0.25, 0.0), (0.75, 1.0)):
             assert p.eval(x).hex() == functions._dc_split(p.coeffs, t)[0][-1].hex()
+    # the batched evaluation gives eval's floats, at ends and inside, seams
+    # included, with one kernel call per degree
+    hat = named_function("hat")
+    models = polys + [subtract(bernstein_of(hat, 70), hat), subtract(BernsteinPoly(coeffs), hat)]
+    points = [[0.25, 0.75, 0.5, 0.3]] * len(polys) + [[0.0, 0.5, 0.7, 1.0]] * 2
+    got = functions.eval_many(models, points)
+    assert _hexes(got) == _hexes([list(map(f.eval, pts)) for f, pts in zip(models, points)])
 
 
 def _dc_grid(coeffs, ts):
@@ -683,6 +734,38 @@ def test_reprs():
     assert repr(isolate_extrema(BernsteinPoly([0.0, 1.0, 0.0]))) == (
         "CriticalSet(0:endpoint, 0.5:isolated-root, 1:endpoint)"
     )
+
+
+def _subtract_reference(p, f):
+    # per segment: two scalar splits, the scalar elevation of the restriction
+    # and of the segment's line, and a Python subtraction
+    n = max(p.degree, 1)
+    rows = []
+    for u, v, y0, y1 in zip(f.xs, f.xs[1:], f.ys, f.ys[1:]):
+        c = p.coeffs
+        if u > 0.0:
+            c = _split_reference(c, u)[1]
+        if v < 1.0:
+            c = _split_reference(c, (v - u) / (1.0 - u))[0]
+        line = _elevate_reference((y0, y1), n - 1)
+        rows.append([a - b for a, b in zip(_elevate_reference(c, n - p.degree), line)])
+    return rows
+
+
+def test_subtract_many_bits_match_reference():
+    # one segment (neither split pass has rows) and nine breakpoints; images
+    # of one degree, and of mixed degrees, a constant among them
+    rng = random.Random(29)
+    for f in (named_function("identity"), random_plf(3, 9)):
+        spans = list(zip(f.xs, f.xs[1:]))
+        for degrees in ((64, 64), (0, 12), (49, 3, 49)):
+            ps = [BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)]) for n in degrees]
+            got = functions.subtract_many(ps, f)
+            for p, q in zip(ps, got):
+                bits = _hexes(piece.coeffs for piece in q.pieces)
+                assert bits == _hexes(_subtract_reference(p, f))
+                assert bits == _hexes(piece.coeffs for piece in subtract(p, f).pieces)
+                assert [piece.domain for piece in q.pieces] == spans
 
 
 def test_subtract_evaluates_as_difference():
