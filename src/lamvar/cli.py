@@ -23,7 +23,7 @@ from .errors import (
     PropertyViolationError,
     ResourceError,
 )
-from .operators import bernstein_of, kantorovich_of
+from .operators import SAMPLE_CAP, _check_work, bernstein_of, kantorovich_of
 from .serialize import dumps, format_float, load_function_file, load_lambda_file
 from .variation import lambda_variation, restricted_variation, wiener_profile
 
@@ -97,6 +97,9 @@ def _cmd_operator(args) -> int:
             raise InvalidInputError(
                 f"samples:K needs an integer K >= 2, got {args.emit!r}", field="emit"
             )
+        if count > SAMPLE_CAP:
+            raise ResourceError(f"{count} samples exceed the sample cap of {SAMPLE_CAP}")
+        _check_work(count * p.degree * p.degree / 2, "K*n*n/2 for K samples at degree n")
         lines = ["x,value"]
         for i in range(count):
             x = i / (count - 1)

@@ -26,7 +26,7 @@ from .functions import (
     subtract_many,
 )
 from .lambda_seq import LambdaSequence
-from .operators import _check_degree, bernstein_of, kantorovich_of
+from .operators import _check_degree, _check_work, bernstein_of, kantorovich_of
 from .serialize import dumps, format_float
 from .variation import (
     SOLVER_POINT_CAP,
@@ -47,6 +47,10 @@ _CSV_HEADER = "case_id,inputs_digest,key_values,margin,violation"
 DIMINISH_TOLERANCE = 1e-9
 #: Largest breakpoint count of a diminish case's random function.
 DIMINISH_MAX_BREAKPOINTS = 8
+#: The work a diminish run may take: its cases times the sum of n*n over the
+#: images of one case, both operators counted.  `--cases 1 --nmax 471`, the
+#: largest one-case run it admits, takes about 10.6 s on two cores.
+DIMINISH_WORK_BUDGET = 70_000_000
 
 _FAMILY_BUILDERS = {
     "constant": lambda: LambdaSequence.constant(1.0),
@@ -217,7 +221,8 @@ def run_diminish_campaign(
     family, with weights built once per campaign.  Functions have 2 to
     DIMINISH_MAX_BREAKPOINTS breakpoints.  Solver resource errors skip the
     whole case, margins and violations included, and are counted, not fatal.
-    A degree above the degree cap is refused before the first case.
+    A degree above the degree cap, or work above DIMINISH_WORK_BUDGET, is
+    refused before the first case.
     """
     cases = _check_positive_int(cases, "cases")
     n_max = _check_positive_int(n_max, "n_max")
@@ -226,6 +231,12 @@ def run_diminish_campaign(
     if not weights:
         raise DomainError("lambda_families must not be empty")
     _check_degree(n_max)
+    work = cases * len(ops) * sum(n * n for n in range(1, n_max + 1))
+    if work > DIMINISH_WORK_BUDGET:
+        raise ResourceError(
+            f"diminish work {work} (cases times the sum of n*n over a case's images) "
+            f"exceeds the budget of {DIMINISH_WORK_BUDGET}"
+        )
 
     config = {
         "seed": seed,
@@ -282,13 +293,6 @@ def run_diminish_campaign(
     return ExperimentReport("diminish", config, records, violations, summary)
 
 
-#: The de Casteljau work, the sum of n*n/2 over the degrees, that a
-#: counterexample run may take: evaluating a degree-n image takes about n*n/2
-#: steps.  `--nmax 1982`, the largest run it admits, takes about 10 s on two
-#: cores.
-COUNTEREXAMPLE_WORK_BUDGET = 1_300_000_000
-
-
 def run_counterexample(
     seq: LambdaSequence,
     delta: float = 0.75,
@@ -303,7 +307,7 @@ def run_counterexample(
     the same system applied to the image polynomial is a valid lower bound
     (both lengths <= delta), and must already exceed the baseline; the value
     of the polynomial at delta must also exceed f(delta).  Degrees above the
-    degree cap, or whose work exceeds COUNTEREXAMPLE_WORK_BUDGET, are refused
+    degree cap, or whose work exceeds operators.WORK_BUDGET, are refused
     before the first image.
     """
     if not seq.term(1) < seq.term(2):
@@ -316,12 +320,7 @@ def run_counterexample(
         raise DomainError("n_values must not be empty")
     for n in ns:
         _check_degree(n)
-    work = sum(n * n for n in ns) / 2
-    if work > COUNTEREXAMPLE_WORK_BUDGET:
-        raise ResourceError(
-            f"de Casteljau work {work:.0f} (the sum of n*n/2 over the degrees) exceeds "
-            f"the budget of {COUNTEREXAMPLE_WORK_BUDGET}"
-        )
+    _check_work(sum(n * n for n in ns) / 2, "the sum of n*n/2 over the degrees")
 
     f = named_function("counterexample")
     f_at_delta = f.eval(delta)

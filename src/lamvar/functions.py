@@ -3,15 +3,15 @@
 Four exactly-representable classes: piecewise-linear functions, step functions
 with explicit values at their jump points, polynomials in the Bernstein basis
 (optionally restricted to a subinterval), and piecewise collections of the
-latter.  Polynomial evaluation, restriction and splitting all go through one
-de Casteljau kernel, ``_dc_split_many``, which splits many coefficient rows of
-one length, each at its own parameter (a value is the last coefficient of the
-left half); coefficients are never converted to the monomial basis.  Degree
-elevation runs one vectorized step per degree over many rows at once, bit for
-bit the scalar recurrence.  Extrema are isolated by subdivision driven by
-coefficient sign certificates, level by level over every polynomial of a batch
-at once; a root is the midpoint of the gap between two certified panels of
-opposite sign.
+latter.  ``eval_many`` evaluates every model (``eval`` is its one-point case).
+Polynomial evaluation, restriction and splitting go through one de Casteljau
+kernel, ``_dc_split_many``, which splits many coefficient rows of one length,
+each at its own parameter (a value is the last coefficient of the left half);
+coefficients are never converted to the monomial basis.  Degree elevation runs
+one vectorized step per degree over many rows at once, bit for bit the scalar
+recurrence.  Extrema are isolated by subdivision driven by coefficient sign
+certificates, level by level over every polynomial of a batch at once; a root
+is the midpoint of the gap between two certified panels of opposite sign.
 
 Evaluation identities hold to 1e-12.  Root positions are resolved to
 ``MERGE_TOL`` (1e-12), the distance at which critical points merge.
@@ -30,8 +30,9 @@ from .errors import DomainError, InvalidInputError, ResourceError, _check_positi
 # (evaluation reads its last left-edge coefficient), runs on numpy arrays: one
 # array step per degree for all its rows.  One row costs 12 us (list) vs 45 us
 # (arrays) at degree 12 and 38 ms vs 3-5 ms at degree 1023 (Python 3.11, 2-core
-# Xeon); diminish and converge need both.  Elevation (_elevate) is on arrays at
-# every degree.
+# Xeon); diminish and converge need both.  The list loop also keeps
+# counterexample and operator --emit samples numpy-free up to this degree.
+# Elevation (_elevate) is on arrays at every degree.
 _NUMPY_CUTOVER = 48
 _MAX_PANELS = 20000
 # Coefficients that root isolation splits in one array step: 32 panels of a
@@ -270,13 +271,6 @@ def _dc_split_many(rows: Sequence[Sequence[float]], ts: Sequence[float]):
     return lefts, rights
 
 
-def _dc_split(coeffs: Sequence[float], t: float):
-    """Coefficients of the two halves at parameter t (both on local [0,1]):
-    _dc_split_many's one-row case, arrays above _NUMPY_CUTOVER."""
-    lefts, rights = _dc_split_many([coeffs], [t])
-    return lefts[0], rights[0]
-
-
 def _elevate(rows, r: int):
     """The coefficient rows (along the last axis of an array) elevated by
     r >= 0 degrees.  One array step per degree does the scalar recurrence's
@@ -346,26 +340,8 @@ class BernsteinPoly:
     def domain(self) -> Tuple[float, float]:
         return (self.a, self.b)
 
-    def _local(self, x: float) -> float:
-        t = (x - self.a) / (self.b - self.a)
-        if not -MERGE_TOL <= t <= 1.0 + MERGE_TOL:  # NaN too
-            raise DomainError(f"argument {x!r} lies outside [{self.a}, {self.b}]")
-        return min(1.0, max(0.0, t))
-
-    def _at(self, x: float) -> Tuple[float, float]:
-        """(t, end): x's local parameter, and the end coefficient it lands on
-        (0.0 inside the domain).  At an end each kernel step adds a signed
-        zero to the end coefficient, which leaves a nonzero one as it is, so
-        that one is the value; a zero one goes through the kernel, which
-        turns -0.0 into +0.0 next to a positive neighbour."""
-        t = self._local(x)
-        return t, self.coeffs[0] if t == 0.0 else self.coeffs[-1] if t == 1.0 else 0.0
-
     def eval(self, x: float) -> float:
-        t, end = self._at(x)
-        if end != 0.0:
-            return end
-        return float(_dc_split(self.coeffs, t)[0][-1])
+        return eval_many([self], [[x]])[0][0]
 
     __call__ = eval
 
@@ -441,13 +417,8 @@ class PiecewisePolynomial:
         self.pieces = pieces
         self._rights = tuple(p.b for p in pieces)
 
-    def _piece(self, x: float) -> BernsteinPoly:
-        """The piece that evaluates x: the left one at a seam."""
-        _check_unit_interval(x)
-        return self.pieces[bisect.bisect_left(self._rights, x)]
-
     def eval(self, x: float) -> float:
-        return self._piece(x).eval(x)
+        return eval_many([self], [[x]])[0][0]
 
     __call__ = eval
 
@@ -493,11 +464,11 @@ def _halve(c, cols, lens):
     array c, returned as one array [left halves | right halves].  Column
     cols[i] holds lens[i] coefficients; the NaN rows below them stay NaN.
 
-    At step j >= 1, row k >= j becomes ``0.5 * w[k - 1] + 0.5 * w[k]``: the
-    IEEE operations of _dc_split, so the halves agree with it bit for bit.  A
-    row never reads the rows below it, so columns of every length split
-    together.  Row j is final after step j and is the left half's coefficient
-    j; row lens - 1 after step j is the right half's coefficient lens - 1 - j.
+    At step j >= 1, row k >= j becomes ``0.5 * w[k - 1] + 0.5 * w[k]``, as
+    in _dc_split_many, so the halves agree with it bit for bit.  A row never
+    reads the rows below it, so columns of every length split together.  Row
+    j is final after step j and is the left half's coefficient j; row lens - 1
+    after step j is the right half's coefficient lens - 1 - j.
     Columns are split _SPLIT_COEFFS coefficients at a time, which bounds the
     scratch arrays however wide the level is.  In a chunk whose columns all
     end on its last row, that row is the right halves' coefficient, copied
@@ -701,17 +672,31 @@ def _raised(result):
 
 
 def eval_many(fs: Sequence[object], points: Sequence[Sequence[float]]) -> List[List[float]]:
-    """The values of every Bernstein or piecewise polynomial fs[i] at its
-    points points[i]: the floats f.eval gives.  The de Casteljau evaluations
-    run in one kernel call per degree, and a point that lands on a nonzero
-    end coefficient takes it, as eval does."""
+    """The values of every function model fs[i] at its points points[i]; eval
+    is its one-point case.  Piecewise-linear and step functions use their own
+    eval; a piecewise polynomial takes x's piece, the left one at a seam.  A
+    Bernstein piece admits x up to MERGE_TOL outside its domain, clamped.  A
+    point at an end takes a nonzero end coefficient as it is (each kernel step
+    would add a signed zero to it); the rest, zero end coefficients included
+    (the kernel turns -0.0 into +0.0 next to a positive neighbour), run through
+    the de Casteljau kernel in one call per degree."""
     out: List[List[float]] = []
     pending = {}  # row length: (slots (i, j) in out, coefficient rows, parameters)
     for i, (f, pts) in enumerate(zip(fs, points)):
+        if not isinstance(f, (BernsteinPoly, PiecewisePolynomial)):
+            out.append(list(map(f.eval, pts)))
+            continue
         vals = []
         for j, x in enumerate(pts):
-            p = f if isinstance(f, BernsteinPoly) else f._piece(x)
-            t, end = p._at(x)
+            p = f
+            if isinstance(f, PiecewisePolynomial):
+                _check_unit_interval(x)
+                p = f.pieces[bisect.bisect_left(f._rights, x)]
+            t = (x - p.a) / (p.b - p.a)
+            if not -MERGE_TOL <= t <= 1.0 + MERGE_TOL:  # NaN too
+                raise DomainError(f"argument {x!r} lies outside [{p.a}, {p.b}]")
+            t = min(1.0, max(0.0, t))
+            end = p.coeffs[0] if t == 0.0 else p.coeffs[-1] if t == 1.0 else 0.0
             vals.append(end)
             if end == 0.0:
                 slots, rows, ts = pending.setdefault(len(p.coeffs), ([], [], []))
@@ -726,32 +711,29 @@ def eval_many(fs: Sequence[object], points: Sequence[Sequence[float]]) -> List[L
 
 
 def subtract_many(ps: Sequence[BernsteinPoly], f: PiecewiseLinear) -> List[PiecewisePolynomial]:
-    """The differences p - f of every p of ps, each one Bernstein piece per
-    linear segment of f.
+    """The differences p - f of polynomials ps of one degree, each one
+    Bernstein piece per linear segment of f.
 
-    The polynomials of each degree are restricted to every segment in two
-    kernel calls (_restrictions); the restrictions and the segments, as
-    degree-1 rows, are elevated to a common degree (the polynomials', or 1
-    for constants), each set in one call, and subtracted row by row.  An
-    overflowing difference is refused as a non-finite coefficient of its
-    piece.
+    The polynomials are restricted to every segment in two kernel calls
+    (_restrictions); the restrictions and the segments, as degree-1 rows,
+    are elevated to a common degree (the polynomials', or 1 for constants),
+    each set in one call, and subtracted row by row.  An overflowing
+    difference is refused as a non-finite coefficient of its piece.
     """
     import numpy as np
     if any(p.domain != (0.0, 1.0) for p in ps):
         raise DomainError("p must be defined on all of [0, 1]")
+    degree = ps[0].degree
+    if any(p.degree != degree for p in ps):
+        raise DomainError("the polynomials must share one degree")
+    n = max(degree, 1)
     spans = list(zip(f.xs, f.xs[1:]))
-    lines = list(zip(f.ys, f.ys[1:]))
-    diffs = {}  # index in ps: the coefficient rows of its pieces
-    for degree in sorted({p.degree for p in ps}):
-        group = [i for i, p in enumerate(ps) if p.degree == degree]
-        n = max(degree, 1)
-        local = _elevate(_restrictions([ps[i].coeffs for i in group], spans), n - degree)
-        with np.errstate(over="ignore"):
-            rows = local.reshape(len(group), len(spans), n + 1) - _elevate(lines, n - 1)
-        diffs.update(zip(group, rows.tolist()))
+    local = _elevate(_restrictions([p.coeffs for p in ps], spans), n - degree)
+    with np.errstate(over="ignore"):
+        rows = local.reshape(len(ps), len(spans), n + 1) - _elevate(list(zip(f.ys, f.ys[1:])), n - 1)
     return [
-        PiecewisePolynomial([BernsteinPoly(c, span) for c, span in zip(diffs[i], spans)])
-        for i in range(len(ps))
+        PiecewisePolynomial([BernsteinPoly(c, span) for c, span in zip(row, spans)])
+        for row in rows.tolist()
     ]
 
 

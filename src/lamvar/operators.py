@@ -23,12 +23,29 @@ class Monotonicity(enum.Enum):
 #: Largest operator degree.  Memory grows by about 210 bytes per degree, so
 #: the cap keeps a run to tens of megabytes and well under a second.
 DEGREE_CAP = 1 << 16
+#: The de Casteljau work, about n*n/2 steps per evaluation of a degree-n
+#: image, that a `counterexample` run (over its degrees) or an `operator
+#: --emit samples:K` run (K evaluations) may take.  `counterexample --nmax
+#: 1982`, the largest run it admits, takes about 10 s on two cores.
+WORK_BUDGET = 1_300_000_000
+#: Largest K of `operator --emit samples:K`.  With WORK_BUDGET it bounds a
+#: samples run: the slowest it admits, 1,000 samples at degree 1612, takes
+#: about 9 s on two cores (one evaluation above degree 48 costs ~5 us a degree).
+SAMPLE_CAP = 1_000
 
 
 def _check_degree(n) -> None:
     _check_positive_int(n, "degree")
     if n > DEGREE_CAP:
         raise ResourceError(f"degree {n} exceeds the degree cap of {DEGREE_CAP}")
+
+
+def _check_work(work: float, counted: str) -> None:
+    """Refuse de Casteljau work above WORK_BUDGET; counted says how it was counted."""
+    if work > WORK_BUDGET:
+        raise ResourceError(
+            f"de Casteljau work {work:.0f} ({counted}) exceeds the budget of {WORK_BUDGET}"
+        )
 
 
 def bernstein_of(f, n: int) -> BernsteinPoly:

@@ -241,11 +241,11 @@ def _candidate_error(pts: Sequence[float]):
 
 def _candidate_values(f, pts: Sequence[float]) -> List[float]:
     """f at the merged candidate points pts of an exact solve, once their
-    count is checked."""
+    count is checked, in one eval_many call."""
     error = _candidate_error(pts)
     if error:
         raise error
-    return list(map(f.eval, pts))
+    return eval_many([f], [pts])[0]
 
 
 def lambda_variation(f, seq: LambdaSequence) -> VariationResult:
@@ -535,29 +535,27 @@ def tail_variation(f, seq: LambdaSequence, m: int) -> float:
 
 def lambda_norm(f, seq: LambdaSequence) -> float:
     """Variation plus |f(0)|; a norm on the space where the variation is finite."""
-    return _norm_of_values(_candidate_values(f, critical_points(f).points), seq)
-
-
-def _norm_of_values(vals: List[float], seq: LambdaSequence) -> float:
-    """lambda_norm from the values at the critical points, the first at 0.0."""
-    norm = _subset_search(vals, _weights(seq, len(vals) - 1))[0] + abs(vals[0])
-    if not math.isfinite(norm):
-        raise InvalidInputError("the norm overflows", field="fn")
-    return norm
+    return _norms_many([f], seq)[0]
 
 
 def _norms_many(fs: Sequence[object], seq: LambdaSequence) -> List[float]:
-    """lambda_norm of every Bernstein or piecewise polynomial of fs, with one
-    batch of critical sets and one evaluation pass (eval_many) over them.
-    Raises what the first failing lambda_norm of fs in order would: its
-    critical-set error, its candidate count, or its norm overflow."""
+    """lambda_norm of every function model of fs, with one batch of critical
+    sets and one evaluation pass (eval_many) over them.  Raises what the
+    first failing lambda_norm of fs in order would: its critical-set error,
+    its candidate count, or its norm overflow."""
     crits = [
         crit if isinstance(crit, Exception) else _candidate_error(crit.points) or crit
         for crit in critical_points_many(fs)
     ]
     ready = [(f, crit.points) for f, crit in zip(fs, crits) if not isinstance(crit, Exception)]
-    vals = iter(eval_many([f for f, _ in ready], [pts for _, pts in ready]))
-    return [_norm_of_values(next(vals), seq) for _ in map(_raised, crits)]
+    values = eval_many([f for f, _ in ready], [pts for _, pts in ready])
+    norms = []
+    for _, vals in zip(map(_raised, crits), values):  # the first value is at 0.0
+        norm = _subset_search(vals, _weights(seq, len(vals) - 1))[0] + abs(vals[0])
+        if not math.isfinite(norm):
+            raise InvalidInputError("the norm overflows", field="fn")
+        norms.append(norm)
+    return norms
 
 
 def lambda_distance(p, f: PiecewiseLinear, seq: LambdaSequence) -> float:

@@ -217,7 +217,16 @@ def test_operator_degree_above_cap_exits_4(capsys, files):
      "of 1300000000"),
     (["diminish", "--nmax", "70000"],
      "degree 70000 exceeds the degree cap of 65536"),
-], ids=["resolution", "counterexample-degree", "counterexample-work", "diminish-degree"])
+    (["diminish", "--cases", "1", "--nmax", "65536"],
+     "diminish work 187654279462912 (cases times the sum of n*n over a case's images) "
+     "exceeds the budget of 70000000"),
+    (["operator", "--op", "bernstein", "--fn", "hat", "-n", "3", "--emit", "samples:30000000"],
+     "30000000 samples exceed the sample cap of 1000"),
+    (["operator", "--op", "bernstein", "--fn", "hat", "-n", "2000", "--emit", "samples:1000"],
+     "de Casteljau work 2000000000 (K*n*n/2 for K samples at degree n) exceeds the budget "
+     "of 1300000000"),
+], ids=["resolution", "counterexample-degree", "counterexample-work", "diminish-degree",
+        "diminish-work", "operator-samples", "operator-samples-work"])
 def test_resource_cap_trips_before_the_work(capsys, files, argv, message):
     started = time.perf_counter()
     code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
@@ -391,15 +400,18 @@ def test_module_entry_point(files):
 
 def test_commands_without_arrays_run_with_numpy_blocked(tmp_path, files):
     """oracle-check, shao-sablin and variation without --delta never import
-    numpy: in an interpreter where importing it fails they print what an
-    ordinary run prints.  diminish isolates roots on arrays and imports numpy
-    on first use, not with lamvar.cli."""
+    numpy, nor do counterexample and operator --emit samples at degrees up to
+    the split kernel's list-loop cutover: in an interpreter where importing
+    it fails they print what an ordinary run prints.  diminish isolates roots
+    on arrays and imports numpy on first use, not with lamvar.cli."""
     plf = tmp_path / "plf.json"
     plf.write_text('{"type": "plf", "points": [[0, 0], [0.3, 1], [0.6, -0.5], [1, 0.25]]}')
     commands = [
         ["oracle-check", "--seed", "3", "--cases", "5"],
         ["shao-sablin", "--lambda", files["lin"], "--points", "3"],
         ["variation", "--fn", str(plf), "--lambda", files["lin"]],
+        ["counterexample", "--lambda", files["lin"], "--nmax", "10"],
+        ["operator", "--op", "bernstein", "--fn", str(plf), "-n", "12", "--emit", "samples:5"],
     ]
     blocked = subprocess.run([sys.executable, "-c", """if True:
         import contextlib, io, json, sys

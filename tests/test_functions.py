@@ -339,6 +339,12 @@ def _hexes(rows):
     return [[x.hex() for x in row] for row in rows]
 
 
+def _split_one(coeffs, t):
+    # both halves of one row: the one-row call of the split kernel
+    lefts, rights = functions._dc_split_many([coeffs], [t])
+    return lefts[0], rights[0]
+
+
 def test_split_kernel_bits_match_scalar_reference():
     # many rows of one length, each at its own t, in one call: each row as
     # if split alone, signed zeros included, on both sides of the cutover
@@ -353,7 +359,7 @@ def test_split_kernel_bits_match_scalar_reference():
         assert _hexes(lefts) == _hexes([left for left, _ in expected])
         assert _hexes(rights) == _hexes([right for _, right in expected])
         # the one-row case
-        assert _hexes(functions._dc_split(rows[2], ts[2])) == _hexes(expected[2])
+        assert _hexes(_split_one(rows[2], ts[2])) == _hexes(expected[2])
     assert functions._dc_split_many([], []) == ([], [])
 
 
@@ -620,7 +626,7 @@ def _reference_sign_change_params(dcoeffs, tol):
                 roots.append(0.5 * (prev_hi + lo))
             prev_sign, prev_hi = sign, hi
         elif not nonneg and hi - lo > tol:
-            left, right = functions._dc_split(c, 0.5)
+            left, right = _split_one(c, 0.5)
             mid = 0.5 * (lo + hi)
             stack += [(mid, hi, right), (lo, mid, left)]
     return [r for r in roots if tol < r < 1.0 - tol]
@@ -674,14 +680,23 @@ def test_eval_at_an_end_keeps_the_kernel_bits(coeffs):
         polys.append(BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)], (0.25, 0.75)))
     for p in polys:
         for x, t in ((0.25, 0.0), (0.75, 1.0)):
-            assert p.eval(x).hex() == functions._dc_split(p.coeffs, t)[0][-1].hex()
+            assert p.eval(x).hex() == _split_one(p.coeffs, t)[0][-1].hex()
     # the batched evaluation gives eval's floats, at ends and inside, seams
-    # included, with one kernel call per degree
+    # included, with one kernel call per degree; piecewise-linear and step
+    # models in the same batch give their own eval's
     hat = named_function("hat")
-    models = polys + [subtract(bernstein_of(hat, 70), hat), subtract(BernsteinPoly(coeffs), hat)]
-    points = [[0.25, 0.75, 0.5, 0.3]] * len(polys) + [[0.0, 0.5, 0.7, 1.0]] * 2
+    models = polys + [subtract(bernstein_of(hat, 70), hat), subtract(BernsteinPoly(coeffs), hat),
+                      hat, StepFunction([0.5], [-0.0, 1.0], [0.25])]
+    points = [[0.25, 0.75, 0.5, 0.3]] * len(polys) + [[0.0, 0.5, 0.7, 1.0]] * 4
     got = functions.eval_many(models, points)
     assert _hexes(got) == _hexes([list(map(f.eval, pts)) for f, pts in zip(models, points)])
+    # an argument outside the domain: the same refusal from both
+    for f, x in ((polys[-1], 0.8), (models[len(polys)], 1.5)):
+        with pytest.raises(DomainError) as alone:
+            f.eval(x)
+        with pytest.raises(DomainError) as batched:
+            functions.eval_many([hat, f], [[0.5], [0.5, x]])
+        assert str(batched.value) == str(alone.value)
 
 
 def _dc_grid(coeffs, ts):
@@ -754,11 +769,11 @@ def _subtract_reference(p, f):
 
 def test_subtract_many_bits_match_reference():
     # one segment (neither split pass has rows) and nine breakpoints; images
-    # of one degree, and of mixed degrees, a constant among them
+    # of one degree, constants and a degree above the cutover among them
     rng = random.Random(29)
     for f in (named_function("identity"), random_plf(3, 9)):
         spans = list(zip(f.xs, f.xs[1:]))
-        for degrees in ((64, 64), (0, 12), (49, 3, 49)):
+        for degrees in ((64, 64), (0, 0), (49, 49, 49), (3,)):
             ps = [BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)]) for n in degrees]
             got = functions.subtract_many(ps, f)
             for p, q in zip(ps, got):
@@ -766,6 +781,9 @@ def test_subtract_many_bits_match_reference():
                 assert bits == _hexes(_subtract_reference(p, f))
                 assert bits == _hexes(piece.coeffs for piece in subtract(p, f).pieces)
                 assert [piece.domain for piece in q.pieces] == spans
+    # polynomials of two degrees are refused, not split as rows of one length
+    with pytest.raises(DomainError, match="the polynomials must share one degree"):
+        functions.subtract_many([BernsteinPoly([0.0, 1.0]), BernsteinPoly([0.5])], f)
 
 
 def test_subtract_evaluates_as_difference():
