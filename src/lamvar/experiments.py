@@ -26,7 +26,7 @@ from .functions import (
     subtract_many,
 )
 from .lambda_seq import LambdaSequence
-from .operators import _check_degree, _check_work, bernstein_of, kantorovich_of
+from .operators import DEGREE_CAP, _check_degree, _check_work, bernstein_of, kantorovich_of
 from .serialize import dumps, format_float
 from .variation import (
     SOLVER_POINT_CAP,
@@ -47,10 +47,20 @@ _CSV_HEADER = "case_id,inputs_digest,key_values,margin,violation"
 DIMINISH_TOLERANCE = 1e-9
 #: Largest breakpoint count of a diminish case's random function.
 DIMINISH_MAX_BREAKPOINTS = 8
-#: The work a diminish run may take: its cases times the sum of n*n over the
-#: images of one case, both operators counted.  `--cases 1 --nmax 471`, the
-#: largest one-case run it admits, takes about 10.6 s on two cores.
+#: The work a diminish run may take: its cases times the sum of
+#: n*n + DIMINISH_IMAGE_WORK over the images of one case, both operators
+#: counted.  `--cases 1 --nmax 467`, the largest one-case run it admits,
+#: takes about 3.5 s on two cores, and `--cases 10 --nmax 209` about 4.9 s.
 DIMINISH_WORK_BUDGET = 70_000_000
+#: The fixed work of one diminish image, in units of the n*n term: its
+#: critical set and candidate solves.  Measured on two cores: an image at
+#: degree 1 to 12 takes 0.08-0.13 ms, a unit of n*n about 65 ns.
+DIMINISH_IMAGE_WORK = 2_000
+#: The work a converge run may take: f's segments times the sum of n*n over
+#: the rows of its schedule within the degree cap.  A 9-breakpoint input over
+#: `--schedule 4,9999`, about the largest run it admits, takes 6.5-7.5 s on
+#: two cores.
+CONVERGE_WORK_BUDGET = 800_000_000
 
 _FAMILY_BUILDERS = {
     "constant": lambda: LambdaSequence.constant(1.0),
@@ -221,8 +231,9 @@ def run_diminish_campaign(
     family, with weights built once per campaign.  Functions have 2 to
     DIMINISH_MAX_BREAKPOINTS breakpoints.  Solver resource errors skip the
     whole case, margins and violations included, and are counted, not fatal.
-    A degree above the degree cap, or work above DIMINISH_WORK_BUDGET, is
-    refused before the first case.
+    A degree above the degree cap, or work above DIMINISH_WORK_BUDGET
+    (DIMINISH_IMAGE_WORK per image included), is refused before the first
+    case.
     """
     cases = _check_positive_int(cases, "cases")
     n_max = _check_positive_int(n_max, "n_max")
@@ -231,11 +242,11 @@ def run_diminish_campaign(
     if not weights:
         raise DomainError("lambda_families must not be empty")
     _check_degree(n_max)
-    work = cases * len(ops) * sum(n * n for n in range(1, n_max + 1))
+    work = cases * len(ops) * sum(n * n + DIMINISH_IMAGE_WORK for n in range(1, n_max + 1))
     if work > DIMINISH_WORK_BUDGET:
         raise ResourceError(
-            f"diminish work {work} (cases times the sum of n*n over a case's images) "
-            f"exceeds the budget of {DIMINISH_WORK_BUDGET}"
+            f"diminish work {work} (cases times the sum of n*n + {DIMINISH_IMAGE_WORK} over "
+            f"a case's images) exceeds the budget of {DIMINISH_WORK_BUDGET}"
         )
 
     config = {
@@ -373,10 +384,12 @@ def run_convergence_study(
     (exact reproduction) counts as converged.  The criterion is a heuristic that
     depends on the schedule (linear weights: random_plf(2, 8) fails it over
     4..256 and passes over 4..1024).  Rows that exhaust a solver cap
-    are recorded as skipped with the reason and excluded from the trend.  A
-    row subtracts f from B_n f and K_n f in one call (subtract_many), then
-    isolates the two differences and B_n f in one batch and evaluates them
-    in one pass (_norms_many).
+    are recorded as skipped with the reason and excluded from the trend, as
+    are rows above the degree cap; work over the other rows above
+    CONVERGE_WORK_BUDGET is refused before the first row.  A row subtracts f
+    from B_n f and K_n f in one call (subtract_many), then isolates the two
+    differences and B_n f in one batch and evaluates them in one pass
+    (_norms_many).
     """
     if not isinstance(f, PiecewiseLinear):
         raise DomainError("convergence study expects a piecewise-linear input")
@@ -385,6 +398,12 @@ def run_convergence_study(
     ns = [_check_positive_int(n, "n_schedule entry") for n in n_schedule]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("n_schedule must be strictly increasing with >= 2 entries")
+    work = (len(f.xs) - 1) * sum(n * n for n in ns if n <= DEGREE_CAP)
+    if work > CONVERGE_WORK_BUDGET:
+        raise ResourceError(
+            f"converge work {work} (segments times the sum of n*n over the rows within "
+            f"the degree cap) exceeds the budget of {CONVERGE_WORK_BUDGET}"
+        )
 
     norm_f = lambda_norm(f, seq)
     config = {

@@ -10,11 +10,16 @@ each at its own parameter (a value is the last coefficient of the left half);
 coefficients are never converted to the monomial basis.  Degree elevation runs
 one vectorized step per degree over many rows at once, bit for bit the scalar
 recurrence.  Extrema are isolated by subdivision driven by coefficient sign
-certificates, level by level over every polynomial of a batch at once; a root
-is the midpoint of the gap between two certified panels of opposite sign.
+certificates, level by level over every polynomial of a batch at once.  Below
+the split kernel's cutover a root is the midpoint of the gap between two
+certified panels of opposite sign.  Above it, a panel whose coefficients
+change sign once holds one simple root; it leaves the subdivision and its
+root is polished by safeguarded Newton, batched over such panels.
 
 Evaluation identities hold to 1e-12.  Root positions are resolved to
-``MERGE_TOL`` (1e-12), the distance at which critical points merge.
+``MERGE_TOL`` (1e-12), the distance at which critical points merge; a polished
+root lies within 1e-15 (in its piece's local parameter) of a sign change of the
+float derivative on the reference inputs of the tests.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ _NUMPY_CUTOVER = 48
 _MAX_PANELS = 20000
 # Coefficients that root isolation splits in one array step: 32 panels of a
 # degree-1024 derivative, so a wide level's scratch arrays stay ~256 KB each.
+# operator --emit samples evaluates as many coefficients in one kernel call.
 _SPLIT_COEFFS = 32 * 1024
 # Points closer than this are one point: derivative roots are resolved to it,
 # critical sets and candidate lists merge at it, polynomial arguments and
@@ -238,7 +244,7 @@ def _dc_split_many(rows: Sequence[Sequence[float]], ts: Sequence[float]):
     _NUMPY_CUTOVER one array step advances every row with these IEEE
     operations, so each row's halves do not depend on its mates.
     """
-    if not rows:
+    if not len(rows):
         return [], []
     n = len(rows[0]) - 1
     if n > _NUMPY_CUTOVER:
@@ -504,6 +510,73 @@ def _halve(c, cols, lens):
     return out
 
 
+def _one_root_columns(c, cols, lens, zcut):
+    """The positions in cols of the columns of the coefficient-major array c
+    that hold exactly one root, a simple one, and the zero of each one's
+    control polygon (local t) to start its polish.  Column cols[i] holds
+    lens[i] coefficients; it qualifies when it has more than
+    _NUMPY_CUTOVER + 1 (the array side of the split kernel), its end
+    coefficients have opposite signs and lie beyond zcut[i], and its nonzero
+    coefficients change sign once (Descartes' rule of signs in the Bernstein
+    basis).  The start lies on the control polygon between the last
+    coefficient of the first sign, i, and the first of the other, j."""
+    import numpy as np
+    big = np.flatnonzero(lens > _NUMPY_CUTOVER + 1)
+    if not big.size:
+        return big, np.empty(0)
+    w = c.take(cols[big], axis=1)
+    n, k = lens[big] - 1, np.arange(big.size)
+    first, last = w[0], w[n, k]
+    rising = first < 0.0
+    rows = np.arange(len(w))[:, None]
+    i = np.where(np.where(rising, w < 0.0, w > 0.0), rows, -1).max(axis=0)
+    j = np.where(np.where(rising, w > 0.0, w < 0.0), rows, len(w)).min(axis=0)
+    one = np.flatnonzero(
+        (np.abs(first) > zcut[big]) & (np.abs(last) > zcut[big]) & (rising != (last < 0.0)) & (i < j)
+    )
+    i, j, n, k = i[one], j[one], n[one], k[one]
+    ci, cj = w[i, k], w[j, k]
+    return big[one], (i + (j - i) * ci / (ci - cj)) / n
+
+
+def _polish(rows, t, width, tol):
+    """The root, in local t, of each coefficient row of rows (an (m, n + 1)
+    array; ends of opposite signs, nonzero coefficients changing sign once)
+    from its start t[i], on a panel of width width[i] in a job of tolerance
+    tol[i].  Safeguarded Newton: one kernel call per pass gives every live
+    row its value, left[-1], and slope, n * (right[1] - left[-2]).  A row
+    keeps a sign bracket and bisects it when the Newton point leaves it or
+    does not halve the previous step.  A row stops at a value of exactly 0,
+    a step of at most tol / 2 in x, a bracket of at most tol in x, or after
+    as many passes as the binary exponent of width / tol, which is at least
+    the number of bisections that reach tol.  Each row's arithmetic reads
+    only its own values."""
+    import numpy as np
+    n = rows.shape[1] - 1
+    rising = rows[:, 0] < 0.0
+    a, b, prev = np.zeros(len(t)), np.ones(len(t)), np.ones(len(t))
+    passes = np.frexp(width / tol)[1]
+    t, live = t.copy(), np.arange(len(t))
+    while live.size:
+        lefts, rights = _dc_split_many(rows[live], t[live])
+        v, d = lefts[:, -1], n * (rights[:, 1] - lefts[:, -2])
+        at, lo, hi = t[live], a[live], b[live]
+        below = (v < 0.0) == rising[live]  # at lies on the start's side of the root
+        lo, hi = np.where(below, at, lo), np.where(below, hi, at)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = at - v / d
+        take = (lo <= newton) & (newton <= hi) & (np.abs(newton - at) <= 0.5 * prev[live])
+        new = np.where(take, newton, 0.5 * (lo + hi))
+        step = np.abs(new - at)
+        passes[live] -= 1
+        w, eps = width[live], tol[live]
+        done = (v == 0.0) | (step * w <= 0.5 * eps) | ((hi - lo) * w <= eps) | (passes[live] == 0)
+        t[live] = np.where(v == 0.0, at, new)
+        a[live], b[live], prev[live] = lo, hi, step
+        live = live[~done]
+    return t
+
+
 def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> List[object]:
     """Per (dcoeffs, tol) job of a nonempty list, the parameters in (0,1) where
     its Bernstein-coefficient polynomial changes sign, or its ResourceError.
@@ -514,7 +587,11 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
     panels) array of every panel of one depth, of every job.  A panel whose
     coefficients are all >= -zcut or all <= zcut is certified (or flat, if
     both); the other panels wider than their job's tol are split, the
-    narrower ones dropped.  A panel's fate depends only on its own
+    narrower ones dropped.  A panel about to be split that holds one simple
+    root above the cutover (_one_root_columns) leaves the frontier instead;
+    after the last level all such panels are polished in one batch per
+    length (_polish), and each root r enters as two certified half-panels,
+    [lo, r] and [r, hi].  A panel's fate depends only on its own
     coefficients, zcut and tol, so a job's panels and roots do not depend on
     its mates.  A job whose visited panels pass _MAX_PANELS leaves the
     frontier; its error names its leftmost panel of that level.
@@ -531,6 +608,7 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
     visited = np.zeros(k, dtype=np.int64)
     stalled = {}  # job: its ResourceError
     certified = []  # per level: owner, lo, hi, positive
+    isolated = []  # per level: columns, owner, lo, hi, start
     while owner.size:
         visited += np.bincount(owner, minlength=k)
         if visited.max() > _MAX_PANELS:
@@ -547,17 +625,35 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
         sure = nonneg != nonpos
         certified.append((owner[sure], lo[sure], hi[sure], nonneg[sure]))
         cols = np.flatnonzero(~(nonneg | nonpos) & (hi - lo > tol[owner]))
+        one, start = _one_root_columns(c, cols, lens[owner[cols]], zcut[owner[cols]])
+        if one.size:
+            x = cols[one]
+            isolated.append((c[:, x], owner[x], lo[x], hi[x], start))
+            cols = np.delete(cols, one)
         c = _halve(c, cols, lens[owner[cols]])
         owner, lo, hi = owner[cols], lo[cols], hi[cols]
         mid = 0.5 * (lo + hi)
         owner = np.concatenate((owner, owner))
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
 
+    if isolated:
+        c, owner, lo, hi, start = (np.concatenate(col, axis=-1) for col in zip(*isolated))
+        t = np.empty(owner.size)
+        for m in set(lens[owner].tolist()):
+            x = np.flatnonzero(lens[owner] == m)
+            t[x] = _polish(c[:m, x].T, start[x], hi[x] - lo[x], tol[owner[x]])
+        r = lo + t * (hi - lo)
+        rising = c[0] < 0.0
+        certified.append((owner, lo, r, ~rising))
+        certified.append((owner, r, hi, rising))
     owner, lo, hi, positive = (np.concatenate(col) for col in zip(*certified))
-    order = np.lexsort((lo, owner))
+    # hi breaks a tie on lo: a polished root within rounding of its panel's
+    # end makes a half-panel [lo, lo] or [hi, hi]
+    order = np.lexsort((hi, lo, owner))
     owner, lo, hi, positive = owner[order], lo[order], hi[order], positive[order]
     # a root lies between neighbouring certified panels of opposite signs, at
-    # the midpoint of the gap between them (adjacent panels meet on it)
+    # the midpoint of the gap between them (adjacent panels meet on it; a
+    # polished root's two half-panels meet on the root)
     turns = np.flatnonzero((owner[1:] == owner[:-1]) & (positive[1:] != positive[:-1]))
     owner, r = owner[turns], 0.5 * (hi[turns] + lo[turns + 1])
     keep = (tol[owner] < r) & (r < 1.0 - tol[owner])

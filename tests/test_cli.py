@@ -8,8 +8,9 @@ import time
 import pytest
 
 import lamvar.variation
-from lamvar import LambdaSequence, PropertyViolationError, named_function
+from lamvar import LambdaSequence, PropertyViolationError, bernstein_of, kantorovich_of, named_function
 from lamvar.cli import main
+from lamvar.serialize import format_float
 from lamvar.variation import IntervalSystem, VariationResult, wiener_profile
 
 
@@ -185,6 +186,20 @@ def test_operator_samples(capsys, files):
     assert float(x) == 0.5
 
 
+def test_operator_samples_match_one_evaluation_per_sample(capsys, files):
+    # degree 200: 163 samples a chunk, so 400 samples take three evaluation
+    # calls, the last one short; degree 3 runs the kernel's list loop
+    for op, n, count in (("bernstein", 200, 400), ("kantorovich", 200, 400), ("bernstein", 3, 7)):
+        code, out, _ = run(capsys, ["operator", "--op", op, "--fn", files["abs_mid"],
+                                    "-n", str(n), "--emit", f"samples:{count}"])
+        p = (bernstein_of if op == "bernstein" else kantorovich_of)(named_function("abs_mid"), n)
+        lines = ["x,value"]
+        for i in range(count):
+            x = i / (count - 1)
+            lines.append(f"{format_float(x)},{format_float(p.eval(x))}")
+        assert (code, out) == (0, "\n".join(lines) + "\n")
+
+
 def test_operator_bad_emit_exits_2(capsys, files):
     code, _, err = run(capsys, ["operator", "--op", "bernstein", "--fn", files["hat"],
                                 "-n", "2", "--emit", "samples:x"])
@@ -218,15 +233,26 @@ def test_operator_degree_above_cap_exits_4(capsys, files):
     (["diminish", "--nmax", "70000"],
      "degree 70000 exceeds the degree cap of 65536"),
     (["diminish", "--cases", "1", "--nmax", "65536"],
-     "diminish work 187654279462912 (cases times the sum of n*n over a case's images) "
+     "diminish work 187654541606912 (cases times the sum of n*n + 2000 over a case's "
+     "images) exceeds the budget of 70000000"),
+    # the per-image term: many cheap cases, or a few cases of many images
+    (["diminish", "--cases", "53846", "--nmax", "12"],
+     "diminish work 2654607800 (cases times the sum of n*n + 2000 over a case's images) "
      "exceeds the budget of 70000000"),
+    (["diminish", "--cases", "10", "--nmax", "218"],
+     "diminish work 78264180 (cases times the sum of n*n + 2000 over a case's images) "
+     "exceeds the budget of 70000000"),
+    (["converge", "--fn", "zigzag", "--lambda", "lin", "--schedule", "4,5200"],
+     "converge work 811200480 (segments times the sum of n*n over the rows within the "
+     "degree cap) exceeds the budget of 800000000"),
     (["operator", "--op", "bernstein", "--fn", "hat", "-n", "3", "--emit", "samples:30000000"],
      "30000000 samples exceed the sample cap of 1000"),
     (["operator", "--op", "bernstein", "--fn", "hat", "-n", "2000", "--emit", "samples:1000"],
      "de Casteljau work 2000000000 (K*n*n/2 for K samples at degree n) exceeds the budget "
      "of 1300000000"),
 ], ids=["resolution", "counterexample-degree", "counterexample-work", "diminish-degree",
-        "diminish-work", "operator-samples", "operator-samples-work"])
+        "diminish-work", "diminish-image-work", "diminish-image-work-high-degree",
+        "converge-work", "operator-samples", "operator-samples-work"])
 def test_resource_cap_trips_before_the_work(capsys, files, argv, message):
     started = time.perf_counter()
     code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
@@ -292,6 +318,12 @@ def test_converge_csv_stdout(capsys, files):
     lines = out.splitlines()
     assert lines[0] == "case_id,inputs_digest,key_values,margin,violation"
     assert len(lines) == 5
+    # a row above the degree cap is skipped and does not count against the
+    # work budget, which it alone would pass
+    code, out, _ = run(capsys, ["converge", "--fn", files["abs_mid"], "--lambda",
+                                files["lin"], "--schedule", "2,4,8,16,70000"])
+    assert code == 0
+    assert "skipped=true" in out.splitlines()[-1]
 
 
 def test_converge_out_file(capsys, files):

@@ -344,9 +344,9 @@ def test_outputs_match_pinned_digests():
     } == {
         "diminish": "09e4fb9d76d67818afbf1ecc84bf949484981ed2",
         "oracle": "671eb0d20094d697bed1b20ff25f80132ce74949",
-        "converge": "f9638895d063104d0c8a7d9a16af71b822d78082",
-        "converge_skipping": "e21824cbe56b55c8ce8bb979c2420e65575d841c",
-        "roots": "16af5b6d3b2c83808f6fc6f467cbcdda34a84286",
+        "converge": "ffb0b440fa64a0c491655ccaa4e4571a5423fc31",
+        "converge_skipping": "9dde267b8ac85f4931a1946142e60d6c684d44fe",
+        "roots": "22430a662502c5219f8f09669bd5e8dbc9d7710c",
         "shao_sablin": "49ccd36ebe87bdb787c1ace0e056f3553bd347b6",
         "solves": "5afea3583c758f9698337fa6c860cf731b2c0e7d",
         "counterexample": "79084a93e4485c1d0b851bab305c55437750068f",

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import typing
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -481,29 +482,30 @@ def test_isolate_extrema_snaps_noise_to_constant():
     assert isolate_extrema(BernsteinPoly([0.7], (0.25, 0.5))).points == (0.25, 0.5)
 
 
-# A degree-200 derivative with one sign change near 0.225 that is numerically
-# flat on [0.5, 1]: subdivision visits 63 panels, [0, 1] and then two a level
-# while it closes in on the root; the left one of the last level ends on it.
-_FLAT_RIGHT = [0.0] * 201
-_FLAT_RIGHT[24] = -1.0
-_FLAT_RIGHT[48] = 0.001
+# A degree-48 derivative, below the cutover, with one sign change near 0.285
+# that is numerically flat on [0.5, 1]: subdivision visits 33 panels, [0, 1]
+# and then two a level while it closes in on the root, until the panels
+# around it turn flat too; the left one of the last level ends on it.
+_FLAT_RIGHT = [0.0] * 49
+_FLAT_RIGHT[1] = -(2.0 ** -7)
+_FLAT_RIGHT[4] = 2.0 ** -15
 _FLAT_RIGHT_STALL = (
-    r"budget of 62 panels; stalled on panel \[0\.2252229992300272, 0\.22522299969568849\]$"
+    r"budget of 32 panels; stalled on panel \[0\.2847900390625, 0\.2848052978515625\]$"
 )
 
 
 def test_sign_change_params_skips_flat_panel():
-    assert _sign_change_params(_FLAT_RIGHT, 1e-12) == [0.22522299969568849]
+    assert _sign_change_params(_FLAT_RIGHT, 1e-12) == [0.2848052978515625]
     # negative before the flat half: a flat panel taken as positive would add 0.5
-    dc = [0.0] * 201
-    dc[0], dc[20] = 1.0, -1.0
-    assert _sign_change_params(dc, 1e-12) == [0.04178987993509509]
+    dc = [0.0] * 49
+    dc[0], dc[3] = 2.0 ** -7, -(2.0 ** -15)
+    assert _sign_change_params(dc, 1e-12) == [0.1971263885498047]
 
 
 def test_sign_change_params_panel_budget(monkeypatch):
-    monkeypatch.setattr(functions, "_MAX_PANELS", 63)
-    assert _sign_change_params(_FLAT_RIGHT, 1e-12) == [0.22522299969568849]
-    monkeypatch.setattr(functions, "_MAX_PANELS", 62)
+    monkeypatch.setattr(functions, "_MAX_PANELS", 33)
+    assert _sign_change_params(_FLAT_RIGHT, 1e-12) == [0.2848052978515625]
+    monkeypatch.setattr(functions, "_MAX_PANELS", 32)
     with pytest.raises(ResourceError, match=_FLAT_RIGHT_STALL):
         _sign_change_params(_FLAT_RIGHT, 1e-12)
 
@@ -524,11 +526,11 @@ def test_sign_change_params_takes_wide_gap_midpoint():
 
 
 # The polynomial whose derivative's difference coefficients are _FLAT_RIGHT.
-_FLAT_RIGHT_POLY = BernsteinPoly([1.0] * 25 + [0.0] * 24 + [0.001] * 153)
+_FLAT_RIGHT_POLY = BernsteinPoly([1.0] * 2 + [1.0 - 2.0 ** -7] * 3 + [1.0 - 2.0 ** -7 + 2.0 ** -15] * 45)
 
 
 def test_batch_carries_each_polynomial_error(monkeypatch):
-    monkeypatch.setattr(functions, "_MAX_PANELS", 62)
+    monkeypatch.setattr(functions, "_MAX_PANELS", 32)
     ordinary = BernsteinPoly([0.0, 1.0, 0.0])  # 3 panels: [0, 1] and its halves
     overflow = BernsteinPoly([0.0, 1e308, -1e308])
     stalled, crit, overflowed = critical_points_many([_FLAT_RIGHT_POLY, ordinary, overflow])
@@ -539,15 +541,15 @@ def test_batch_carries_each_polynomial_error(monkeypatch):
     # the one-element case raises what the batch carries
     with pytest.raises(ResourceError, match=_FLAT_RIGHT_STALL):
         isolate_extrema(_FLAT_RIGHT_POLY)
-    monkeypatch.setattr(functions, "_MAX_PANELS", 63)
-    assert critical_points_many([_FLAT_RIGHT_POLY])[0].points[1] == 0.22522299969568849
+    monkeypatch.setattr(functions, "_MAX_PANELS", 33)
+    assert critical_points_many([_FLAT_RIGHT_POLY])[0].points[1] == 0.2848052978515625
 
 
 def test_stall_message_does_not_depend_on_the_batch(monkeypatch):
     # the error names the polynomial's own leftmost panel of the level that
     # passed the budget, so mates, stalled at that level or another or not
     # at all, keep it
-    monkeypatch.setattr(functions, "_MAX_PANELS", 62)
+    monkeypatch.setattr(functions, "_MAX_PANELS", 32)
     mirror = BernsteinPoly(_FLAT_RIGHT_POLY.coeffs[::-1])  # stalls at the same level
     wavy = BernsteinPoly([0.0, 1.0, -1.0, 1.0, -1.0, 1.0, 0.5])  # stalls at another
     stalled = [_FLAT_RIGHT_POLY, mirror, wavy]
@@ -584,7 +586,7 @@ def test_isolation_does_not_depend_on_the_batch(polys, mates):
 
 def test_critical_points_many_matches_critical_points(monkeypatch):
     # every model in one batch: each entry is what critical_points gives or raises
-    monkeypatch.setattr(functions, "_MAX_PANELS", 62)
+    monkeypatch.setattr(functions, "_MAX_PANELS", 32)
     hat = named_function("hat")
     flat_right = BernsteinPoly(_FLAT_RIGHT_POLY.coeffs, (0.5, 1.0))
     second_stalls = PiecewisePolynomial([BernsteinPoly([0.0, 1.0], (0.0, 0.5)), flat_right])
@@ -611,21 +613,86 @@ def test_critical_points_many_matches_critical_points(monkeypatch):
     assert str(got[-1]) == str(critical_points_many([flat_right])[0])
 
 
-def _reference_sign_change_params(dcoeffs, tol):
+def _reference_one_root_start(c, zcut):
+    """The start of the polish when the coefficients c hold one simple root
+    above the cutover (ends of opposite signs beyond zcut, nonzero
+    coefficients changing sign once), else None: the control polygon's zero
+    between the last coefficient of the first sign, i, and the first of the
+    other, j."""
+    if len(c) <= functions._NUMPY_CUTOVER + 1 or not (abs(c[0]) > zcut and abs(c[-1]) > zcut):
+        return None
+    rising = c[0] < 0.0
+    if rising == (c[-1] < 0.0):
+        return None
+    i = max(k for k, x in enumerate(c) if (x < 0.0 if rising else x > 0.0))
+    j = min(k for k, x in enumerate(c) if (x > 0.0 if rising else x < 0.0))
+    if i > j:
+        return None
+    return (i + (j - i) * c[i] / (c[i] - c[j])) / (len(c) - 1)
+
+
+def _reference_polish(c, t, width, tol):
+    """The safeguarded Newton polish of one row, scalar, on the scalar split
+    (_split_reference); also the branch each pass took."""
+    n = len(c) - 1
+    rising = c[0] < 0.0
+    a, b, prev = 0.0, 1.0, 1.0
+    passes = math.frexp(width / tol)[1]
+    taken = []
+    while True:
+        left, right = _split_reference(c, t)
+        v, d = left[-1], n * (right[1] - left[-2])
+        if (v < 0.0) == rising:
+            a = t
+        else:
+            b = t
+        newton = t - v / d if d else math.nan
+        if v == 0.0:
+            taken.append("zero")
+            new = t
+        elif a <= newton <= b and abs(newton - t) <= 0.5 * prev:
+            taken.append("newton")
+            new = newton
+        else:
+            taken.append("bisect")
+            new = 0.5 * (a + b)
+        step = abs(new - t)
+        passes -= 1
+        t, prev = new, step
+        if v == 0.0 or step * width <= 0.5 * tol or (b - a) * width <= tol or passes == 0:
+            return t, taken
+
+
+def _reference_sign_change_params(dcoeffs, tol, polished=None):
     """The depth-first subdivision of one derivative: the scalar loop the
-    batched frontier replaces, kept as its reference."""
+    batched frontier replaces, kept as its reference.  A panel about to be
+    split that holds one simple root above the cutover is polished instead
+    and certified as its two halves at the root; the polished roots are
+    also appended to the list polished, if one is given."""
     zcut = 1e-12 * max(1.0, max(abs(c) for c in dcoeffs))
-    roots, prev_sign, prev_hi = [], 0, 0.0
+    roots, prev = [], [0, 0.0]  # sign and hi of the last certified panel
+
+    def certify(lo, hi, sign):
+        if prev[0] and sign != prev[0]:
+            roots.append(0.5 * (prev[1] + lo))
+        prev[:] = sign, hi
+
     stack = [(0.0, 1.0, dcoeffs)]
     while stack:
         lo, hi, c = stack.pop()
         nonneg, nonpos = min(c) >= -zcut, max(c) <= zcut
         if nonneg != nonpos:
-            sign = +1 if nonneg else -1
-            if prev_sign and sign != prev_sign:
-                roots.append(0.5 * (prev_hi + lo))
-            prev_sign, prev_hi = sign, hi
+            certify(lo, hi, +1 if nonneg else -1)
         elif not nonneg and hi - lo > tol:
+            start = _reference_one_root_start(c, zcut)
+            if start is not None:
+                r = lo + _reference_polish(c, start, hi - lo, tol)[0] * (hi - lo)
+                if polished is not None:
+                    polished.append(r)
+                sign = -1 if c[0] < 0.0 else +1
+                certify(lo, r, sign)
+                certify(r, hi, -sign)
+                continue
             left, right = _split_one(c, 0.5)
             mid = 0.5 * (lo + hi)
             stack += [(mid, hi, right), (lo, mid, left)]
@@ -633,7 +700,7 @@ def _reference_sign_change_params(dcoeffs, tol):
 
 
 _JOBS = st.tuples(
-    st.integers(1, 50).flatmap(
+    st.integers(1, 64).flatmap(
         lambda m: st.lists(
             st.sampled_from([0.0, -0.0, 1e-13, -1e-13]) | st.floats(-1.0, 1.0),
             min_size=m,
@@ -668,6 +735,79 @@ def test_split_chunks_keep_the_bits(monkeypatch):
         for batch in (slice(0, 3), slice(3, 4), slice(0, 4)):  # the last one mixes lengths
             got = functions._sign_change_params_many(jobs[batch])
             assert [[r.hex() for r in rs] for rs in got] == roots[batch]
+
+
+def _exact_sign(dcoeffs, t):
+    """The exact sign of the Bernstein polynomial with the float coefficients
+    dcoeffs at the rational t = p/q: de Casteljau in integers, each step
+    scaled by q, so nothing is rounded."""
+    p, q = t.numerator, t.denominator
+    ratios = [c.as_integer_ratio() for c in dcoeffs]
+    den = max(d for _, d in ratios)  # every denominator is a power of two
+    w = [num * (den // d) for num, d in ratios]
+    for _ in range(len(w) - 1):
+        w = [(q - p) * a + p * b for a, b in zip(w, w[1:])]
+    return (w[0] > 0) - (w[0] < 0)
+
+
+#: A polished root lies within this distance, in the job's local t, of an
+#: exact sign change of the float derivative (README's root contract).
+_POLISH_EPS = Fraction(1, 10 ** 15)
+
+
+def test_polished_roots_bracket_an_exact_sign_change():
+    # derivatives above the cutover, degrees 49 to 255: random Bernstein
+    # polynomials and the pieces of a degree-256 difference B_n f - f
+    rng = random.Random(4)
+    polys = [BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)]) for n in (50, 64, 100, 128)]
+    f = random_plf(3, 4)
+    polys += subtract(bernstein_of(f, 256), f).pieces
+    jobs = [functions._derivative_job(p) for p in polys]
+    checked = 0
+    for (dc, tol), roots in zip(jobs, functions._sign_change_params_many(jobs)):
+        polished = []
+        assert roots == _reference_sign_change_params(dc, tol, polished)
+        for r in polished:
+            if tol < r < 1.0 - tol:
+                assert r in roots
+                below = _exact_sign(dc, Fraction(r) - _POLISH_EPS)
+                above = _exact_sign(dc, Fraction(r) + _POLISH_EPS)
+                assert below * above == -1, (r, below, above)
+                checked += 1
+    assert checked == 43
+
+
+def test_polish_branches_match_the_scalar_reference():
+    # one batch of one length above the cutover, each row through another
+    # branch of the safeguard: Newton steps from the control polygon's zero,
+    # a start on a flat stretch whose Newton points leave the bracket, and
+    # a value of exactly 0 (antisymmetric coefficients at t = 1/2)
+    n = 61
+    steep = [math.tanh(30.0 * (k / n - 0.6)) for k in range(n + 1)]
+    antisymmetric = [k - n / 2 for k in range(n + 1)]
+    start = _reference_one_root_start(steep, 1e-12)
+    rows = [(steep, start), (steep, 0.02), (antisymmetric, 0.5)]
+    expected = [_reference_polish(c, t, 0.5, 1e-12) for c, t in rows]
+    assert [taken for _, taken in expected] == [
+        ["newton"] * 3, ["bisect", "newton", "bisect"] + ["newton"] * 4, ["zero"]
+    ]
+    got = functions._polish(
+        np.array([c for c, _ in rows]), np.array([t for _, t in rows]), np.full(3, 0.5), np.full(3, 1e-12)
+    )
+    assert [t.hex() for t in got.tolist()] == [t.hex() for t, _ in expected]
+    assert _reference_one_root_start(antisymmetric, 1e-12) == 0.5
+
+
+def test_polished_root_within_tol_of_an_end_is_dropped():
+    # the difference coefficients of t - 1e-7 at degree 60 hold one root;
+    # the frontier polishes it on [0, 1], and the end filter drops it when
+    # the tolerance is wider than its distance from the end
+    rising = [k / 60 - 1e-7 for k in range(61)]
+    falling = [-c for c in rising[::-1]]  # its mirror: the root at 1 - 1e-7
+    jobs = [(rising, 1e-6), (rising, 1e-9), (falling, 1e-6), (falling, 1e-9)]
+    got = functions._sign_change_params_many(jobs)
+    assert got == [[], [1.0000000000000005e-07], [], [0.9999999]]
+    assert got == [_reference_sign_change_params(dc, tol) for dc, tol in jobs]
 
 
 @pytest.mark.parametrize(
