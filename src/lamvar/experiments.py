@@ -50,11 +50,11 @@ DIMINISH_MAX_BREAKPOINTS = 8
 #: The work a diminish run may take: its cases times the sum of
 #: n*n + DIMINISH_IMAGE_WORK over the images of one case, both operators
 #: counted.  `--cases 1 --nmax 467`, the largest one-case run it admits,
-#: takes about 3.5 s on two cores, and `--cases 10 --nmax 209` about 4.9 s.
+#: takes 2.3-2.7 s on two cores, and `--cases 10 --nmax 209` 4.8-5.8 s.
 DIMINISH_WORK_BUDGET = 70_000_000
 #: The fixed work of one diminish image, in units of the n*n term: its
 #: critical set and candidate solves.  Measured on two cores: an image at
-#: degree 1 to 12 takes 0.08-0.13 ms, a unit of n*n about 65 ns.
+#: degree 1 to 12 takes 0.09-0.10 ms, a unit of n*n about 65 ns.
 DIMINISH_IMAGE_WORK = 2_000
 #: The work a converge run may take: f's segments times the sum of n*n over
 #: the rows of its schedule within the degree cap.  A 9-breakpoint input over
@@ -207,11 +207,6 @@ def _skipped(case_id: int, inputs: dict, exc: ResourceError) -> dict:
     return _case(case_id, inputs, {"skipped": True, "reason": str(exc)}, 0.0, False)
 
 
-#: Diminish cases whose images are built, then isolated in one batch.  A larger
-#: block shares the subdivision levels among more images but holds them all.
-_DIMINISH_BLOCK = 10
-
-
 def run_diminish_campaign(
     seed: int = 42,
     cases: int = 500,
@@ -224,11 +219,10 @@ def run_diminish_campaign(
     Per case: draw f, compute its variation once per weight family, then for
     every (operator, degree, family) compare against the variation of the
     image polynomial on its own critical set.  margin = V(f) - V(op_n f);
-    a margin below -DIMINISH_TOLERANCE is a violation.  The images of
-    _DIMINISH_BLOCK cases are built first and their critical sets isolated
-    in one batch; the report does not depend on it.  Each function is
-    evaluated once at its critical set and its values are searched once per
-    family, with weights built once per campaign.  Functions have 2 to
+    a margin below -DIMINISH_TOLERANCE is a violation.  A case's images are
+    isolated in one critical_points_many call.  Each function is evaluated
+    once at its critical set and its values are searched once per family,
+    with weights built once per campaign.  Functions have 2 to
     DIMINISH_MAX_BREAKPOINTS breakpoints.  Solver resource errors skip the
     whole case, margins and violations included, and are counted, not fatal.
     A degree above the degree cap, or work above DIMINISH_WORK_BUDGET
@@ -262,37 +256,32 @@ def run_diminish_campaign(
     violations: List[dict] = []
 
     steps = [(n, op_name, op) for n in range(1, n_max + 1) for op_name, op in ops]
-    for start in range(0, cases, _DIMINISH_BLOCK):
-        block = []
-        for index in range(start, min(cases, start + _DIMINISH_BLOCK)):
-            cseed, f = _draw_case(seed, index, DIMINISH_MAX_BREAKPOINTS)
-            inputs = {"seed": cseed, "points": [[x, y] for x, y in f.breakpoints]}
-            block.append((index, f, inputs, [op(f, n) for n, _, op in steps]))
-        crits = iter(critical_points_many([p for case in block for p in case[3]]))
-        for index, f, inputs, images in block:
-            sets = [next(crits) for _ in images]
-            try:
-                vals = _candidate_values(f, critical_points(f).points)
-                base = {name: _subset_search(vals, w)[0] for name, w in weights}
-                margins = []  # (margin, op, n, family) in loop order
-                for (n, op_name, _), p, crit in zip(steps, images, sets):
-                    vals = _candidate_values(p, _raised(crit).points)
-                    for name, w in weights:
-                        margin = base[name] - _subset_search(vals, w)[0]
-                        margins.append((margin, op_name, n, name))
-            except ResourceError as exc:
-                records.append(_skipped(index, inputs, exc))
-                continue
-            margin, op_name, n, name = min(margins, key=lambda entry: entry[0])
-            outputs = {
-                "min_margin": margin, "worst_op": op_name, "worst_n": n, "worst_family": name
-            }
-            records.append(_case(index, inputs, outputs, margin, margin < -DIMINISH_TOLERANCE))
-            for margin, op_name, n, name in margins:
-                if margin < -DIMINISH_TOLERANCE:
-                    violations.append(
-                        {"case_id": index, "op": op_name, "n": n, "family": name, "margin": margin}
-                    )
+    for index in range(cases):
+        cseed, f = _draw_case(seed, index, DIMINISH_MAX_BREAKPOINTS)
+        inputs = {"seed": cseed, "points": [[x, y] for x, y in f.breakpoints]}
+        images = [op(f, n) for n, _, op in steps]
+        try:
+            vals = _candidate_values(f, critical_points(f).points)
+            base = {name: _subset_search(vals, w)[0] for name, w in weights}
+            margins = []  # (margin, op, n, family) in loop order
+            for (n, op_name, _), p, crit in zip(steps, images, critical_points_many(images)):
+                vals = _candidate_values(p, _raised(crit).points)
+                for name, w in weights:
+                    margin = base[name] - _subset_search(vals, w)[0]
+                    margins.append((margin, op_name, n, name))
+        except ResourceError as exc:
+            records.append(_skipped(index, inputs, exc))
+            continue
+        margin, op_name, n, name = min(margins, key=lambda entry: entry[0])
+        outputs = {
+            "min_margin": margin, "worst_op": op_name, "worst_n": n, "worst_family": name
+        }
+        records.append(_case(index, inputs, outputs, margin, margin < -DIMINISH_TOLERANCE))
+        for margin, op_name, n, name in margins:
+            if margin < -DIMINISH_TOLERANCE:
+                violations.append(
+                    {"case_id": index, "op": op_name, "n": n, "family": name, "margin": margin}
+                )
 
     solved = [rec["margin"] for rec in records if "skipped" not in rec["outputs"]]
     summary = {

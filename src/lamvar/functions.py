@@ -10,16 +10,17 @@ each at its own parameter (a value is the last coefficient of the left half);
 coefficients are never converted to the monomial basis.  Degree elevation runs
 one vectorized step per degree over many rows at once, bit for bit the scalar
 recurrence.  Extrema are isolated by subdivision driven by coefficient sign
-certificates, level by level over every polynomial of a batch at once.  Below
-the split kernel's cutover a root is the midpoint of the gap between two
-certified panels of opposite sign.  Above it, a panel whose coefficients
-change sign once holds one simple root; it leaves the subdivision and its
-root is polished by safeguarded Newton, batched over such panels.
+certificates, level by level: a derivative up to the split kernel's cutover
+on its own, in lists, and the longer ones of a batch together, on arrays.  At
+every degree a panel whose coefficients change sign once holds one simple
+root; it leaves the subdivision and its root is polished by safeguarded
+Newton.  Other roots are the midpoints of the gaps between certified panels
+of opposite sign.
 
 Evaluation identities hold to 1e-12.  Root positions are resolved to
 ``MERGE_TOL`` (1e-12), the distance at which critical points merge; a polished
 root lies within 1e-15 (in its piece's local parameter) of a sign change of the
-float derivative on the reference inputs of the tests.
+float derivative on the reference inputs of the tests, degrees 1 to 255.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from .errors import DomainError, InvalidInputError, ResourceError, _check_positi
 # (evaluation reads its last left-edge coefficient), runs on numpy arrays: one
 # array step per degree for all its rows.  One row costs 12 us (list) vs 45 us
 # (arrays) at degree 12 and 38 ms vs 3-5 ms at degree 1023 (Python 3.11, 2-core
-# Xeon); diminish and converge need both.  The list loop also keeps
-# counterexample and operator --emit samples numpy-free up to this degree.
+# Xeon); diminish and converge need both.  The list loop also keeps root
+# isolation, diminish, counterexample and operator --emit samples numpy-free
+# up to this degree.
 # Elevation (_elevate) is on arrays at every degree.
 _NUMPY_CUTOVER = 48
 _MAX_PANELS = 20000
@@ -510,40 +512,31 @@ def _halve(c, cols, lens):
     return out
 
 
-def _one_root_columns(c, cols, lens, zcut):
-    """The positions in cols of the columns of the coefficient-major array c
-    that hold exactly one root, a simple one, and the zero of each one's
-    control polygon (local t) to start its polish.  Column cols[i] holds
-    lens[i] coefficients; it qualifies when it has more than
-    _NUMPY_CUTOVER + 1 (the array side of the split kernel), its end
-    coefficients have opposite signs and lie beyond zcut[i], and its nonzero
-    coefficients change sign once (Descartes' rule of signs in the Bernstein
-    basis).  The start lies on the control polygon between the last
-    coefficient of the first sign, i, and the first of the other, j."""
-    import numpy as np
-    big = np.flatnonzero(lens > _NUMPY_CUTOVER + 1)
-    if not big.size:
-        return big, np.empty(0)
-    w = c.take(cols[big], axis=1)
-    n, k = lens[big] - 1, np.arange(big.size)
-    first, last = w[0], w[n, k]
-    rising = first < 0.0
-    rows = np.arange(len(w))[:, None]
-    i = np.where(np.where(rising, w < 0.0, w > 0.0), rows, -1).max(axis=0)
-    j = np.where(np.where(rising, w > 0.0, w < 0.0), rows, len(w)).min(axis=0)
-    one = np.flatnonzero(
-        (np.abs(first) > zcut[big]) & (np.abs(last) > zcut[big]) & (rising != (last < 0.0)) & (i < j)
-    )
-    i, j, n, k = i[one], j[one], n[one], k[one]
-    ci, cj = w[i, k], w[j, k]
-    return big[one], (i + (j - i) * ci / (ci - cj)) / n
+def _one_root_start(c, zcut):
+    """The zero of the control polygon (local t) of the coefficients c when
+    they hold exactly one root, a simple one, to start its polish; else None.
+    They qualify when their end coefficients have opposite signs and lie
+    beyond zcut, and their nonzero coefficients change sign once (Descartes'
+    rule of signs in the Bernstein basis).  The start lies on the control
+    polygon between the last coefficient of the first sign, i, and the first
+    of the other, j."""
+    first, last = c[0], c[-1]
+    if not (abs(first) > zcut and abs(last) > zcut and (first < 0.0) != (last < 0.0)):
+        return None
+    s = 1.0 if first > 0.0 else -1.0
+    i = max(k for k, x in enumerate(c) if s * x > 0.0)
+    j = next(k for k, x in enumerate(c) if s * x < 0.0)
+    if i > j:
+        return None
+    ci, cj = c[i], c[j]
+    return (i + (j - i) * ci / (ci - cj)) / (len(c) - 1)
 
 
-def _polish(rows, t, width, tol):
-    """The root, in local t, of each coefficient row of rows (an (m, n + 1)
-    array; ends of opposite signs, nonzero coefficients changing sign once)
-    from its start t[i], on a panel of width width[i] in a job of tolerance
-    tol[i].  Safeguarded Newton: one kernel call per pass gives every live
+def _polish(rows, starts, widths, tols):
+    """The root, in local t, of each coefficient row of rows (one length; ends
+    of opposite signs, nonzero coefficients changing sign once) from its
+    start starts[i], on a panel of width widths[i] in a job of tolerance
+    tols[i].  Safeguarded Newton: one kernel call per pass gives every live
     row its value, left[-1], and slope, n * (right[1] - left[-2]).  A row
     keeps a sign bracket and bisects it when the Newton point leaves it or
     does not halve the previous step.  A row stops at a value of exactly 0,
@@ -551,51 +544,132 @@ def _polish(rows, t, width, tol):
     as many passes as the binary exponent of width / tol, which is at least
     the number of bisections that reach tol.  Each row's arithmetic reads
     only its own values."""
-    import numpy as np
-    n = rows.shape[1] - 1
-    rising = rows[:, 0] < 0.0
-    a, b, prev = np.zeros(len(t)), np.ones(len(t)), np.ones(len(t))
-    passes = np.frexp(width / tol)[1]
-    t, live = t.copy(), np.arange(len(t))
-    while live.size:
-        lefts, rights = _dc_split_many(rows[live], t[live])
-        v, d = lefts[:, -1], n * (rights[:, 1] - lefts[:, -2])
-        at, lo, hi = t[live], a[live], b[live]
-        below = (v < 0.0) == rising[live]  # at lies on the start's side of the root
-        lo, hi = np.where(below, at, lo), np.where(below, hi, at)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = at - v / d
-        take = (lo <= newton) & (newton <= hi) & (np.abs(newton - at) <= 0.5 * prev[live])
-        new = np.where(take, newton, 0.5 * (lo + hi))
-        step = np.abs(new - at)
-        passes[live] -= 1
-        w, eps = width[live], tol[live]
-        done = (v == 0.0) | (step * w <= 0.5 * eps) | ((hi - lo) * w <= eps) | (passes[live] == 0)
-        t[live] = np.where(v == 0.0, at, new)
-        a[live], b[live], prev[live] = lo, hi, step
-        live = live[~done]
+    n = len(rows[0]) - 1
+    t = [float(x) for x in starts]
+    lo, hi, prev = [0.0] * len(t), [1.0] * len(t), [1.0] * len(t)
+    passes = [math.frexp(w / e)[1] for w, e in zip(widths, tols)]
+    live = range(len(t))
+    while live:
+        lefts, rights = _dc_split_many([rows[i] for i in live], [t[i] for i in live])
+        going = []
+        for i, left, right in zip(live, lefts, rights):
+            at, v, d = t[i], float(left[-1]), n * float(right[1] - left[-2])
+            if (v < 0.0) == (rows[i][0] < 0.0):  # at lies on the start's side of the root
+                lo[i] = at
+            else:
+                hi[i] = at
+            newton = at - v / d if d else math.nan
+            if lo[i] <= newton <= hi[i] and abs(newton - at) <= 0.5 * prev[i]:
+                t[i] = newton
+            else:
+                t[i] = 0.5 * (lo[i] + hi[i])
+            prev[i] = abs(t[i] - at)
+            passes[i] -= 1
+            if v == 0.0:
+                t[i] = at
+            elif (prev[i] * widths[i] > 0.5 * tols[i] and (hi[i] - lo[i]) * widths[i] > tols[i]
+                  and passes[i]):
+                going.append(i)
+        live = going
     return t
 
 
+def _stall(lo: float, hi: float) -> ResourceError:
+    """The error of a job whose visited panels passed _MAX_PANELS, naming the
+    leftmost panel [lo, hi] of the level at which the count passed it."""
+    return ResourceError(
+        f"derivative sign analysis passed its budget of {_MAX_PANELS} panels; "
+        f"stalled on panel [{lo:.17g}, {hi:.17g}]"
+    )
+
+
 def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> List[object]:
-    """Per (dcoeffs, tol) job of a nonempty list, the parameters in (0,1) where
-    its Bernstein-coefficient polynomial changes sign, or its ResourceError.
+    """Per (dcoeffs, tol) job of a list, the parameters in (0,1) where its
+    Bernstein-coefficient polynomial changes sign, or its ResourceError.
 
     Touch points (no sign change) are excluded: a reported root needs a
     sign-certified panel on each side, with opposite signs.  Subdivision is
-    level-synchronous.  The frontier is a coefficient-major (coefficients,
-    panels) array of every panel of one depth, of every job.  A panel whose
-    coefficients are all >= -zcut or all <= zcut is certified (or flat, if
-    both); the other panels wider than their job's tol are split, the
-    narrower ones dropped.  A panel about to be split that holds one simple
-    root above the cutover (_one_root_columns) leaves the frontier instead;
-    after the last level all such panels are polished in one batch per
-    length (_polish), and each root r enters as two certified half-panels,
-    [lo, r] and [r, hi].  A panel's fate depends only on its own
-    coefficients, zcut and tol, so a job's panels and roots do not depend on
-    its mates.  A job whose visited panels pass _MAX_PANELS leaves the
-    frontier; its error names its leftmost panel of that level.
+    level-synchronous.  A panel whose coefficients are all >= -zcut or all
+    <= zcut is certified (or flat, if both); the other panels wider than
+    their job's tol are split, the narrower ones dropped.  A panel about to
+    be split that holds one simple root (_one_root_start) leaves the
+    subdivision instead; after the last level it is polished (_polish), and
+    its root r enters as two certified half-panels, [lo, r] and [r, hi].
+    A job whose visited panels pass _MAX_PANELS stops with _stall.
+
+    A job of at most _NUMPY_CUTOVER + 1 coefficients is walked alone, in
+    lists (_walk); the longer ones share one array frontier (_frontier).
+    A panel's fate depends only on its own coefficients, zcut and tol, and
+    both forms do the same IEEE operations, so a job's roots and its error
+    do not depend on its mates.
     """
+    out = [_walk(dc, tol) if len(dc) <= _NUMPY_CUTOVER + 1 else None for dc, tol in jobs]
+    long = [i for i, roots in enumerate(out) if roots is None]
+    if long:
+        for i, roots in zip(long, _frontier([jobs[i] for i in long])):
+            out[i] = roots
+    return out
+
+
+def _walk(dc: Sequence[float], tol: float) -> object:
+    """The roots of one job of _sign_change_params_many, or its error: the
+    panels of each level in a list, left to right, split on the list side
+    of the kernel, their turns and gaps read from the sorted panels."""
+    zcut = 1e-12 * max(1.0, max(map(abs, dc)))
+    level = [(0.0, 1.0, dc)]
+    visited = 0
+    certified = []  # lo, hi, positive
+    isolated = []  # coefficients, lo, hi, start
+    while level:
+        visited += len(level)
+        if visited > _MAX_PANELS:
+            return _stall(level[0][0], level[0][1])
+        split = []
+        for lo, hi, c in level:
+            nonneg, nonpos = min(c) >= -zcut, max(c) <= zcut
+            if nonneg != nonpos:
+                certified.append((lo, hi, nonneg))
+            elif not nonneg and hi - lo > tol:
+                start = _one_root_start(c, zcut)
+                if start is None:
+                    split.append((lo, hi, c))
+                else:
+                    isolated.append((c, lo, hi, start))
+        lefts, rights = _dc_split_many([c for _, _, c in split], [0.5] * len(split))
+        level = []
+        for (lo, hi, _), left, right in zip(split, lefts, rights):
+            mid = 0.5 * (lo + hi)
+            level += ((lo, mid, left), (mid, hi, right))
+    if isolated:
+        rows, los, his, starts = zip(*isolated)
+        widths = [hi - lo for lo, hi in zip(los, his)]
+        for c, lo, hi, t in zip(rows, los, his, _polish(rows, starts, widths, [tol] * len(rows))):
+            r = lo + t * (hi - lo)
+            certified += ((lo, r, c[0] > 0.0), (r, hi, c[0] < 0.0))
+    return _gap_roots(certified, tol)
+
+
+def _gap_roots(certified, tol: float) -> List[float]:
+    """The roots of one job from its certified panels (lo, hi, positive): a
+    root lies between neighbouring panels of opposite signs, at the midpoint
+    of the gap between them (adjacent panels meet on it; a polished root's
+    two half-panels meet on the root), and is kept more than tol from either
+    end.  hi breaks a tie on lo: a polished root within rounding of its
+    panel's end makes a half-panel [lo, lo] or [hi, hi]."""
+    certified = sorted(certified, key=itemgetter(0, 1))
+    roots = []
+    for (_, hi, positive), (lo, _, after) in zip(certified, certified[1:]):
+        r = 0.5 * (hi + lo)
+        if positive != after and tol < r < 1.0 - tol:
+            roots.append(r)
+    return roots
+
+
+def _frontier(jobs: Sequence[Tuple[Sequence[float], float]]) -> List[object]:
+    """_sign_change_params_many of jobs longer than the cutover, together.
+    The frontier is a coefficient-major (coefficients, panels) array of every
+    panel of one depth, of every job; a job that stalls leaves it.  After the
+    last level the isolated panels are polished in one batch per length."""
     import numpy as np
     k = len(jobs)
     lens = np.array([len(dc) for dc, _ in jobs])
@@ -608,27 +682,25 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
     visited = np.zeros(k, dtype=np.int64)
     stalled = {}  # job: its ResourceError
     certified = []  # per level: owner, lo, hi, positive
-    isolated = []  # per level: columns, owner, lo, hi, start
+    isolated = []  # per level: coefficients, owner, lo, hi, start
     while owner.size:
         visited += np.bincount(owner, minlength=k)
         if visited.max() > _MAX_PANELS:
             over = visited[owner] > _MAX_PANELS
             for j in set(owner[over].tolist()):
                 i = min(np.flatnonzero(owner == j), key=lo.__getitem__)
-                stalled[j] = ResourceError(
-                    f"derivative sign analysis passed its budget of {_MAX_PANELS} panels; "
-                    f"stalled on panel [{lo[i]:.17g}, {hi[i]:.17g}]"
-                )
+                stalled[j] = _stall(lo[i], hi[i])
             c, owner, lo, hi = c[:, ~over], owner[~over], lo[~over], hi[~over]
         nonneg = np.fmin.reduce(c, axis=0) >= -zcut[owner]
         nonpos = np.fmax.reduce(c, axis=0) <= zcut[owner]
         sure = nonneg != nonpos
         certified.append((owner[sure], lo[sure], hi[sure], nonneg[sure]))
         cols = np.flatnonzero(~(nonneg | nonpos) & (hi - lo > tol[owner]))
-        one, start = _one_root_columns(c, cols, lens[owner[cols]], zcut[owner[cols]])
-        if one.size:
+        start = [_one_root_start(c[: lens[j], x].tolist(), zcut[j]) for x, j in zip(cols, owner[cols])]
+        one = [i for i, t in enumerate(start) if t is not None]
+        if one:
             x = cols[one]
-            isolated.append((c[:, x], owner[x], lo[x], hi[x], start))
+            isolated.append((c[:, x], owner[x], lo[x], hi[x], np.array([start[i] for i in one])))
             cols = np.delete(cols, one)
         c = _halve(c, cols, lens[owner[cols]])
         owner, lo, hi = owner[cols], lo[cols], hi[cols]
@@ -646,21 +718,10 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
         rising = c[0] < 0.0
         certified.append((owner, lo, r, ~rising))
         certified.append((owner, r, hi, rising))
-    owner, lo, hi, positive = (np.concatenate(col) for col in zip(*certified))
-    # hi breaks a tie on lo: a polished root within rounding of its panel's
-    # end makes a half-panel [lo, lo] or [hi, hi]
-    order = np.lexsort((hi, lo, owner))
-    owner, lo, hi, positive = owner[order], lo[order], hi[order], positive[order]
-    # a root lies between neighbouring certified panels of opposite signs, at
-    # the midpoint of the gap between them (adjacent panels meet on it; a
-    # polished root's two half-panels meet on the root)
-    turns = np.flatnonzero((owner[1:] == owner[:-1]) & (positive[1:] != positive[:-1]))
-    owner, r = owner[turns], 0.5 * (hi[turns] + lo[turns + 1])
-    keep = (tol[owner] < r) & (r < 1.0 - tol[owner])
-    roots: List[List[float]] = [[] for _ in range(k)]
-    for j, x in zip(owner[keep].tolist(), r[keep].tolist()):
-        roots[j].append(x)
-    return [stalled.get(j, roots[j]) for j in range(k)]
+    panels: List[list] = [[] for _ in range(k)]
+    for j, a, b, positive in zip(*(np.concatenate(col).tolist() for col in zip(*certified))):
+        panels[j].append((a, b, positive))
+    return [stalled[j] if j in stalled else _gap_roots(panels[j], jobs[j][1]) for j in range(k)]
 
 
 def _derivative_job(p: BernsteinPoly):
@@ -678,6 +739,12 @@ def _derivative_job(p: BernsteinPoly):
     # coefficients is below this; treat such derivatives as identically 0.
     if dmax <= n * 1e-12 * cscale:
         return None
+    if dmax >= 2.0:
+        # a power of two scales the coefficients into [1, 2) and zcut with
+        # them, so isolation keeps its bits (short of underflow), and the
+        # polish's start and slope cannot overflow
+        e = math.frexp(dmax)[1] - 1
+        dc = tuple(math.ldexp(c, -e) for c in dc)
     return dc, min(0.25, MERGE_TOL / (p.b - p.a))
 
 

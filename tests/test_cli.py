@@ -432,10 +432,11 @@ def test_module_entry_point(files):
 
 def test_commands_without_arrays_run_with_numpy_blocked(tmp_path, files):
     """oracle-check, shao-sablin and variation without --delta never import
-    numpy, nor do counterexample and operator --emit samples at degrees up to
-    the split kernel's list-loop cutover: in an interpreter where importing
-    it fails they print what an ordinary run prints.  diminish isolates roots
-    on arrays and imports numpy on first use, not with lamvar.cli."""
+    numpy, nor do diminish, counterexample and operator --emit samples at
+    degrees up to the split kernel's list-loop cutover: in an interpreter
+    where importing it fails they print what an ordinary run prints.  Above
+    the cutover diminish isolates roots on arrays and imports numpy on first
+    use, not with lamvar.cli."""
     plf = tmp_path / "plf.json"
     plf.write_text('{"type": "plf", "points": [[0, 0], [0.3, 1], [0.6, -0.5], [1, 0.25]]}')
     commands = [
@@ -444,6 +445,7 @@ def test_commands_without_arrays_run_with_numpy_blocked(tmp_path, files):
         ["variation", "--fn", str(plf), "--lambda", files["lin"]],
         ["counterexample", "--lambda", files["lin"], "--nmax", "10"],
         ["operator", "--op", "bernstein", "--fn", str(plf), "-n", "12", "--emit", "samples:5"],
+        ["diminish", "--cases", "5", "--nmax", "12"],
     ]
     blocked = subprocess.run([sys.executable, "-c", """if True:
         import contextlib, io, json, sys
@@ -466,7 +468,9 @@ def test_commands_without_arrays_run_with_numpy_blocked(tmp_path, files):
         import sys
         from lamvar.cli import main
         assert "numpy" not in sys.modules
-        code = main(["diminish", "--cases", "2", "--nmax", "4"])
+        code = main(["diminish", "--nmax", "12"])
+        assert "numpy" not in sys.modules
+        code |= main(["diminish", "--cases", "1", "--nmax", "60"])
         assert "numpy" in sys.modules
         sys.exit(code)
         """], capture_output=True, text=True)

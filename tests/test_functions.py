@@ -22,6 +22,7 @@ from lamvar import (
     critical_points,
     critical_points_many,
     isolate_extrema,
+    kantorovich_of,
     named_function,
     subtract,
 )
@@ -452,6 +453,11 @@ def test_isolate_extrema_interior_root():
     cs = isolate_extrema(BernsteinPoly([1.0, 2.0, 0.0]))
     assert len(cs.points) == 3
     assert cs.points[1] == pytest.approx(1 / 3, abs=1e-9)
+    # differences near the largest float (1e308 and -1.7e308): scaled by a
+    # power of two first, the polish's start and slope stay finite, so the
+    # root at 10/27 is not lost
+    cs = isolate_extrema(BernsteinPoly([0.0, 1e308, -7e307]))
+    assert cs.points[1] == pytest.approx(10 / 27, abs=1e-15)
 
 
 def test_isolate_extrema_excludes_touch_root():
@@ -482,39 +488,57 @@ def test_isolate_extrema_snaps_noise_to_constant():
     assert isolate_extrema(BernsteinPoly([0.7], (0.25, 0.5))).points == (0.25, 0.5)
 
 
-# A degree-48 derivative, below the cutover, with one sign change near 0.285
-# that is numerically flat on [0.5, 1]: subdivision visits 33 panels, [0, 1]
-# and then two a level while it closes in on the root, until the panels
-# around it turn flat too; the left one of the last level ends on it.
+# A degree-48 derivative with one sign change near 0.285 that is numerically
+# flat on [0.5, 1]: subdivision drops the flat right half and polishes the
+# root once a panel around it changes sign once, ends included.
 _FLAT_RIGHT = [0.0] * 49
 _FLAT_RIGHT[1] = -(2.0 ** -7)
 _FLAT_RIGHT[4] = 2.0 ** -15
-_FLAT_RIGHT_STALL = (
-    r"budget of 32 panels; stalled on panel \[0\.2847900390625, 0\.2848052978515625\]$"
-)
 
 
 def test_sign_change_params_skips_flat_panel():
-    assert _sign_change_params(_FLAT_RIGHT, 1e-12) == [0.2848052978515625]
+    assert _sign_change_params(_FLAT_RIGHT, 1e-12) == [0.284807123723456]
     # negative before the flat half: a flat panel taken as positive would add 0.5
     dc = [0.0] * 49
     dc[0], dc[3] = 2.0 ** -7, -(2.0 ** -15)
-    assert _sign_change_params(dc, 1e-12) == [0.1971263885498047]
+    assert _sign_change_params(dc, 1e-12) == [0.19712657610322804]
+
+
+# The polynomial whose derivative, (t - 0.3)^2 to rounding, touches 0 at 0.3
+# without changing sign: its ends have one sign, so no panel is polished, and
+# subdivision closes in on the touch point, two or three panels a level, until
+# the panels around it turn flat.  It visits 39 panels, and at a budget of 32
+# it stalls at level 16.
+_TOUCH_POLY = BernsteinPoly([0.0, 0.09, -0.12, 0.37])
+_TOUCH_STALL = (
+    r"budget of 32 panels; stalled on panel \[0\.29998779296875, 0\.3000030517578125\]$"
+)
+# Derivative touching 0 at 0.3 and 0.7: at a budget of 32 it stalls at level 9.
+_TWO_TOUCH_POLY = BernsteinPoly(
+    [0.0, 0.04409999999999999, -0.016800000000000002, 0.053966666666666656,
+     -0.006933333333333354, 0.03716666666666666]
+)
 
 
 def test_sign_change_params_panel_budget(monkeypatch):
-    monkeypatch.setattr(functions, "_MAX_PANELS", 33)
-    assert _sign_change_params(_FLAT_RIGHT, 1e-12) == [0.2848052978515625]
-    monkeypatch.setattr(functions, "_MAX_PANELS", 32)
-    with pytest.raises(ResourceError, match=_FLAT_RIGHT_STALL):
-        _sign_change_params(_FLAT_RIGHT, 1e-12)
+    dc, tol = functions._derivative_job(_TOUCH_POLY)
+    monkeypatch.setattr(functions, "_MAX_PANELS", 39)
+    assert _sign_change_params(dc, tol) == []
+    monkeypatch.setattr(functions, "_MAX_PANELS", 38)
+    with pytest.raises(ResourceError, match=(
+        r"budget of 38 panels; stalled on panel \[0\.29999923706054688, 0\.30000114440917969\]$"
+    )):
+        _sign_change_params(dc, tol)
 
 
 def test_sign_change_params_takes_wide_gap_midpoint():
     # the uncertified gap between opposite panels is wider than the tolerance:
-    # the root is its midpoint, wherever inside it the sign changes
-    assert _sign_change_params((-1.0, -0.5, 0.5, 0.0, 0.0, -0.5, 1.0), 0.25) == [0.5]
-    assert _sign_change_params((-1.0, 1.0, -0.5, -0.5, 1.0), 0.25) == [0.5]
+    # the root is its midpoint, wherever inside it the sign changes.  Here the
+    # one sign change lies near 1/3 (and 2/3 in the mirror), but the panels
+    # of width 0.5 around it change coefficient sign three times, so none is
+    # polished, and their halves are not wider than tol
+    assert _sign_change_params((0.25, -0.5, 1.0, -2.0), 0.25) == [0.375]
+    assert _sign_change_params((2.0, -1.0, 0.5, -0.25), 0.25) == [0.625]
     assert _sign_change_params((0.0, -0.5, 1.0, -1.0, 0.5, 0.0), 0.25) == [0.5]
     # the panel [0.25, 0.5] between the opposite panels is flat (every
     # coefficient within zcut), so the gap is wider than tol = 1e-12
@@ -525,41 +549,41 @@ def test_sign_change_params_takes_wide_gap_midpoint():
     assert _sign_change_params(tuple(dc), 1e-12) == [0.375]
 
 
-# The polynomial whose derivative's difference coefficients are _FLAT_RIGHT.
-_FLAT_RIGHT_POLY = BernsteinPoly([1.0] * 2 + [1.0 - 2.0 ** -7] * 3 + [1.0 - 2.0 ** -7 + 2.0 ** -15] * 45)
-
-
 def test_batch_carries_each_polynomial_error(monkeypatch):
     monkeypatch.setattr(functions, "_MAX_PANELS", 32)
-    ordinary = BernsteinPoly([0.0, 1.0, 0.0])  # 3 panels: [0, 1] and its halves
+    ordinary = BernsteinPoly([0.0, 1.0, 0.0])  # 1 panel: [0, 1], polished
     overflow = BernsteinPoly([0.0, 1e308, -1e308])
-    stalled, crit, overflowed = critical_points_many([_FLAT_RIGHT_POLY, ordinary, overflow])
+    stalled, crit, overflowed = critical_points_many([_TOUCH_POLY, ordinary, overflow])
     assert isinstance(stalled, ResourceError)
-    assert re.search(_FLAT_RIGHT_STALL, str(stalled))
+    assert re.search(_TOUCH_STALL, str(stalled))
     assert crit.points == (0.0, 0.5, 1.0)
     assert isinstance(overflowed, InvalidInputError) and overflowed.field == "coeffs"
     # the one-element case raises what the batch carries
-    with pytest.raises(ResourceError, match=_FLAT_RIGHT_STALL):
-        isolate_extrema(_FLAT_RIGHT_POLY)
-    monkeypatch.setattr(functions, "_MAX_PANELS", 33)
-    assert critical_points_many([_FLAT_RIGHT_POLY])[0].points[1] == 0.2848052978515625
+    with pytest.raises(ResourceError, match=_TOUCH_STALL):
+        isolate_extrema(_TOUCH_POLY)
+    monkeypatch.setattr(functions, "_MAX_PANELS", 39)
+    assert critical_points_many([_TOUCH_POLY])[0].points == (0.0, 1.0)
 
 
 def test_stall_message_does_not_depend_on_the_batch(monkeypatch):
     # the error names the polynomial's own leftmost panel of the level that
     # passed the budget, so mates, stalled at that level or another or not
-    # at all, keep it
+    # at all, short or long, keep it
     monkeypatch.setattr(functions, "_MAX_PANELS", 32)
-    mirror = BernsteinPoly(_FLAT_RIGHT_POLY.coeffs[::-1])  # stalls at the same level
-    wavy = BernsteinPoly([0.0, 1.0, -1.0, 1.0, -1.0, 1.0, 0.5])  # stalls at another
-    stalled = [_FLAT_RIGHT_POLY, mirror, wavy]
+    mirror = BernsteinPoly(_TOUCH_POLY.coeffs[::-1])  # stalls at the same level
+    long = _TWO_TOUCH_POLY.elevate(50)  # above the cutover, at the level of the next
+    stalled = [_TOUCH_POLY, mirror, long, _TWO_TOUCH_POLY]
     alone = [str(critical_points_many([p])[0]) for p in stalled]
-    assert re.search(_FLAT_RIGHT_STALL, alone[0])
+    assert re.search(_TOUCH_STALL, alone[0])
+    assert alone[2] == alone[3]
     assert all(msg.startswith("derivative sign analysis passed") for msg in alone)
     mates = [BernsteinPoly([0.0, 1.0, 0.0]), BernsteinPoly([0.3, -0.2] * 40)]
-    for batch in (stalled + mates, mates + stalled[::-1]):
+    # the last batch: short and long stalls and mates, interleaved
+    for batch in (stalled + mates, mates + stalled[::-1], [mates[1], mirror, mates[0], long]):
         got = critical_points_many(batch)
-        assert [str(got[batch.index(p)]) for p in stalled] == alone
+        for p, msg in zip(stalled, alone):
+            if p in batch:
+                assert str(got[batch.index(p)]) == msg
 
 
 _DEGREES = st.sampled_from([1, 2, 3, 5, 12, 13, 48, 49, 64])
@@ -588,14 +612,14 @@ def test_critical_points_many_matches_critical_points(monkeypatch):
     # every model in one batch: each entry is what critical_points gives or raises
     monkeypatch.setattr(functions, "_MAX_PANELS", 32)
     hat = named_function("hat")
-    flat_right = BernsteinPoly(_FLAT_RIGHT_POLY.coeffs, (0.5, 1.0))
-    second_stalls = PiecewisePolynomial([BernsteinPoly([0.0, 1.0], (0.0, 0.5)), flat_right])
+    touch = BernsteinPoly(_TOUCH_POLY.coeffs, (0.5, 1.0))
+    second_stalls = PiecewisePolynomial([BernsteinPoly([1.0, 0.0], (0.0, 0.5)), touch])
     batch = [
         PiecewiseLinear([(0.0, 0.0), (1 / 3, 1.0), (2 / 3, 0.0), (1.0, 1.0)]),
         StepFunction([0.5], [0.0, 1.0], [0.5]),
         BernsteinPoly([0.0, 1.0, 0.0]),
         subtract(bernstein_of(hat, 64), hat),
-        _FLAT_RIGHT_POLY,
+        _TOUCH_POLY,
         BernsteinPoly([0.0, 1e308, -1e308]),
         0.5,
         second_stalls,
@@ -610,16 +634,15 @@ def test_critical_points_many_matches_critical_points(monkeypatch):
             assert _bits(crit) == _bits(alone)
     kinds = [CriticalSet] * 4 + [ResourceError, InvalidInputError, InvalidInputError, ResourceError]
     assert [type(crit) for crit in got] == kinds
-    assert str(got[-1]) == str(critical_points_many([flat_right])[0])
+    assert str(got[-1]) == str(critical_points_many([touch])[0])
 
 
 def _reference_one_root_start(c, zcut):
     """The start of the polish when the coefficients c hold one simple root
-    above the cutover (ends of opposite signs beyond zcut, nonzero
-    coefficients changing sign once), else None: the control polygon's zero
-    between the last coefficient of the first sign, i, and the first of the
-    other, j."""
-    if len(c) <= functions._NUMPY_CUTOVER + 1 or not (abs(c[0]) > zcut and abs(c[-1]) > zcut):
+    (ends of opposite signs beyond zcut, nonzero coefficients changing sign
+    once), else None: the control polygon's zero between the last
+    coefficient of the first sign, i, and the first of the other, j."""
+    if not (abs(c[0]) > zcut and abs(c[-1]) > zcut):
         return None
     rising = c[0] < 0.0
     if rising == (c[-1] < 0.0):
@@ -666,7 +689,7 @@ def _reference_polish(c, t, width, tol):
 def _reference_sign_change_params(dcoeffs, tol, polished=None):
     """The depth-first subdivision of one derivative: the scalar loop the
     batched frontier replaces, kept as its reference.  A panel about to be
-    split that holds one simple root above the cutover is polished instead
+    split that holds one simple root is polished instead
     and certified as its two halves at the root; the polished roots are
     also appended to the list polished, if one is given."""
     zcut = 1e-12 * max(1.0, max(abs(c) for c in dcoeffs))
@@ -756,10 +779,16 @@ _POLISH_EPS = Fraction(1, 10 ** 15)
 
 
 def test_polished_roots_bracket_an_exact_sign_change():
-    # derivatives above the cutover, degrees 49 to 255: random Bernstein
-    # polynomials and the pieces of a degree-256 difference B_n f - f
+    # derivatives of degrees 1 to 255: operator images of random
+    # piecewise-linear functions at degrees 2 to 12 and 30 to 49, whose
+    # derivatives the list walk isolates up to degree 48, and random
+    # Bernstein polynomials and the pieces of a degree-256 difference
+    # B_n f - f, which the array frontier isolates
+    ops = (bernstein_of, kantorovich_of)
+    polys = [op(random_plf(s, 8), n) for s in (1, 2, 3) for n in range(2, 13) for op in ops]
+    polys += [op(random_plf(4, 8), n) for n in (31, 40, 49) for op in ops]
     rng = random.Random(4)
-    polys = [BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)]) for n in (50, 64, 100, 128)]
+    polys += [BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)]) for n in (50, 64, 100, 128)]
     f = random_plf(3, 4)
     polys += subtract(bernstein_of(f, 256), f).pieces
     jobs = [functions._derivative_job(p) for p in polys]
@@ -774,7 +803,7 @@ def test_polished_roots_bracket_an_exact_sign_change():
                 above = _exact_sign(dc, Fraction(r) + _POLISH_EPS)
                 assert below * above == -1, (r, below, above)
                 checked += 1
-    assert checked == 43
+    assert checked == 154
 
 
 def test_polish_branches_match_the_scalar_reference():
@@ -794,7 +823,7 @@ def test_polish_branches_match_the_scalar_reference():
     got = functions._polish(
         np.array([c for c, _ in rows]), np.array([t for _, t in rows]), np.full(3, 0.5), np.full(3, 1e-12)
     )
-    assert [t.hex() for t in got.tolist()] == [t.hex() for t, _ in expected]
+    assert [t.hex() for t in got] == [t.hex() for t, _ in expected]
     assert _reference_one_root_start(antisymmetric, 1e-12) == 0.5
 
 
