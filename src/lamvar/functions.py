@@ -9,13 +9,13 @@ kernel, ``_dc_split_many``, which splits many coefficient rows of one length,
 each at its own parameter (a value is the last coefficient of the left half);
 coefficients are never converted to the monomial basis.  Degree elevation runs
 one vectorized step per degree over many rows at once, bit for bit the scalar
-recurrence.  Extrema are isolated by subdivision driven by coefficient sign
-certificates, level by level: a derivative up to the split kernel's cutover
-on its own, in lists, and the longer ones of a batch together, on arrays.  At
-every degree a panel whose coefficients change sign once holds one simple
-root; it leaves the subdivision and its root is polished by safeguarded
-Newton.  Other roots are the midpoints of the gaps between certified panels
-of opposite sign.
+recurrence.  Extrema are isolated by one subdivision over every derivative of
+a batch, driven by coefficient sign certificates, level by level: each level
+splits panels up to the kernel's cutover in lists, one kernel call per
+length, and all longer panels in one array call (_halve).  At every degree a
+panel whose coefficients change sign once holds one simple root; it leaves
+the subdivision and its root is polished by safeguarded Newton.  Other roots
+are the midpoints of the gaps between certified panels of opposite sign.
 
 Evaluation identities hold to 1e-12.  Root positions are resolved to
 ``MERGE_TOL`` (1e-12), the distance at which critical points merge; a polished
@@ -467,49 +467,47 @@ class CriticalSet:
 # -- derivative sign analysis ---------------------------------------------
 
 
-def _halve(c, cols, lens):
-    """Both halves, at t = 1/2, of the columns cols of the coefficient-major
-    array c, returned as one array [left halves | right halves].  Column
-    cols[i] holds lens[i] coefficients; the NaN rows below them stay NaN.
+def _halve(rows):
+    """Both halves, at t = 1/2, of every coefficient row of rows, of any
+    lengths: (lefts, rights), views of the rows of one (2 * len(rows), m)
+    array, m the longest row's length.
 
-    At step j >= 1, row k >= j becomes ``0.5 * w[k - 1] + 0.5 * w[k]``, as
-    in _dc_split_many, so the halves agree with it bit for bit.  A row never
-    reads the rows below it, so columns of every length split together.  Row
-    j is final after step j and is the left half's coefficient j; row lens - 1
-    after step j is the right half's coefficient lens - 1 - j.
-    Columns are split _SPLIT_COEFFS coefficients at a time, which bounds the
-    scratch arrays however wide the level is.  In a chunk whose columns all
-    end on its last row, that row is the right halves' coefficient, copied
-    as it is instead of gathered.
+    The rows are split coefficient-major, _SPLIT_COEFFS coefficients at a
+    time, which bounds the scratch arrays however many rows there are:
+    column i of a chunk holds row i, NaN below its length.  At step j >= 1,
+    row k >= j becomes ``0.5 * w[k - 1] + 0.5 * w[k]``, as in _dc_split_many,
+    so the halves agree with it bit for bit.  A row never reads the rows
+    below it, so columns of every length split together.  Row j is final
+    after step j and is the left half's coefficient j; row lens - 1 after
+    step j is the right half's coefficient lens - 1 - j.
     """
     import numpy as np
-    m, s = len(c), cols.size
-    out = np.empty((m, 2 * s))
+    lens = [len(row) for row in rows]
+    m, s = max(lens), len(rows)
+    out = np.empty((2 * s, m))
     step = max(1, _SPLIT_COEFFS // m)
     for a in range(0, s, step):
         b = min(s, a + step)
-        w = c.take(cols[a:b], axis=1)
+        w = np.full((m, b - a), np.nan)
+        for x, row in enumerate(rows[a:b]):
+            w[: len(row), x] = row
         h = np.empty_like(w)
         # diag[1 + j] is row lens - 1 after step j; diag[0] is NaN, read by
         # the right halves' rows past their length
         diag = np.empty((m + 1, b - a))
         diag[0] = np.nan
-        at = (lens[a:b] - 1) * (b - a) + np.arange(b - a)
+        at = (np.array(lens[a:b]) - 1) * (b - a) + np.arange(b - a)
         flat = w.reshape(-1)  # a view: take reads w's current rows
         flat.take(at, out=diag[1])
-        full = bool((lens[a:b] == m).all())
         for j in range(1, m):
             np.multiply(w[j - 1 :], 0.5, out=h[j - 1 :])
             np.add(h[j - 1 : -1], h[j:], out=w[j:])
-            if full:
-                diag[1 + j] = w[-1]
-            else:
-                flat.take(at, out=diag[1 + j])
-        out[:, a:b] = w
-        # right row i is diag[lens - i]; negative positions clip to NaN row 0
+            flat.take(at, out=diag[1 + j])
+        out[a:b] = w.T
+        # right coefficient i is diag[lens - i]; negative positions clip to NaN row 0
         back = at + (b - a) - np.arange(m)[:, None] * (b - a)
-        out[:, s + a : s + b] = diag.reshape(-1).take(back, mode="clip")
-    return out
+        out[s + a : s + b] = diag.reshape(-1).take(back.T, mode="clip")
+    return [out[i, :n] for i, n in enumerate(lens)], [out[s + i, :n] for i, n in enumerate(lens)]
 
 
 def _one_root_start(c, zcut):
@@ -574,79 +572,81 @@ def _polish(rows, starts, widths, tols):
     return t
 
 
-def _stall(lo: float, hi: float) -> ResourceError:
-    """The error of a job whose visited panels passed _MAX_PANELS, naming the
-    leftmost panel [lo, hi] of the level at which the count passed it."""
-    return ResourceError(
-        f"derivative sign analysis passed its budget of {_MAX_PANELS} panels; "
-        f"stalled on panel [{lo:.17g}, {hi:.17g}]"
-    )
-
-
 def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> List[object]:
     """Per (dcoeffs, tol) job of a list, the parameters in (0,1) where its
     Bernstein-coefficient polynomial changes sign, or its ResourceError.
 
     Touch points (no sign change) are excluded: a reported root needs a
     sign-certified panel on each side, with opposite signs.  Subdivision is
-    level-synchronous.  A panel whose coefficients are all >= -zcut or all
+    level-synchronous over every job, each job's panels of a level in a
+    list, left to right.  A panel whose coefficients are all >= -zcut or all
     <= zcut is certified (or flat, if both); the other panels wider than
     their job's tol are split, the narrower ones dropped.  A panel about to
     be split that holds one simple root (_one_root_start) leaves the
-    subdivision instead; after the last level it is polished (_polish), and
-    its root r enters as two certified half-panels, [lo, r] and [r, hi].
-    A job whose visited panels pass _MAX_PANELS stops with _stall.
+    subdivision instead; after the last level the isolated panels of every
+    job are polished (_polish), one batch per coefficient count, and a root
+    r enters as two certified half-panels, [lo, r] and [r, hi].  A job whose
+    visited panels pass _MAX_PANELS stops with a ResourceError naming its
+    first (leftmost) panel of that level, and its isolated panels are dropped.
 
-    A job of at most _NUMPY_CUTOVER + 1 coefficients is walked alone, in
-    lists (_walk); the longer ones share one array frontier (_frontier).
-    A panel's fate depends only on its own coefficients, zcut and tol, and
-    both forms do the same IEEE operations, so a job's roots and its error
+    A level is split in one kernel call per length of at most
+    _NUMPY_CUTOVER + 1 coefficients (the list form of _dc_split_many) and
+    one _halve call for all longer panels, whatever their lengths.  A
+    panel's fate depends only on its own coefficients, zcut and tol, and
+    both kernels do the same IEEE operations, so a job's roots and its error
     do not depend on its mates.
     """
-    out = [_walk(dc, tol) if len(dc) <= _NUMPY_CUTOVER + 1 else None for dc, tol in jobs]
-    long = [i for i, roots in enumerate(out) if roots is None]
-    if long:
-        for i, roots in zip(long, _frontier([jobs[i] for i in long])):
-            out[i] = roots
-    return out
-
-
-def _walk(dc: Sequence[float], tol: float) -> object:
-    """The roots of one job of _sign_change_params_many, or its error: the
-    panels of each level in a list, left to right, split on the list side
-    of the kernel, their turns and gaps read from the sorted panels."""
-    zcut = 1e-12 * max(1.0, max(map(abs, dc)))
-    level = [(0.0, 1.0, dc)]
-    visited = 0
-    certified = []  # lo, hi, positive
-    isolated = []  # coefficients, lo, hi, start
+    zcuts = [1e-12 * max(1.0, max(map(abs, dc))) for dc, _ in jobs]
+    out: List[object] = [None] * len(jobs)  # a stalled job's error
+    visited = [0] * len(jobs)
+    certified: List[list] = [[] for _ in jobs]  # per job: lo, hi, positive
+    isolated = []  # job, lo, hi, coefficients, start
+    level = [(j, 0.0, 1.0, dc) for j, (dc, _) in enumerate(jobs)]
     while level:
-        visited += len(level)
-        if visited > _MAX_PANELS:
-            return _stall(level[0][0], level[0][1])
-        split = []
-        for lo, hi, c in level:
-            nonneg, nonpos = min(c) >= -zcut, max(c) <= zcut
+        for j, _, _, _ in level:
+            visited[j] += 1
+        for j, lo, hi, _ in level:
+            if visited[j] > _MAX_PANELS and out[j] is None:  # its leftmost panel of the level
+                out[j] = ResourceError(
+                    f"derivative sign analysis passed its budget of {_MAX_PANELS} panels; "
+                    f"stalled on panel [{lo:.17g}, {hi:.17g}]"
+                )
+        # a job's panels share its length, so they stay left to right in one group
+        split = {}  # coefficient count, or 0 for every longer panel: panels to split
+        for j, lo, hi, c in level:
+            if out[j] is not None:
+                continue
+            listed = isinstance(c, (tuple, list))  # else an array row view of _halve
+            zcut = zcuts[j]
+            nonneg = (min(c) if listed else c.min()) >= -zcut
+            nonpos = (max(c) if listed else c.max()) <= zcut
             if nonneg != nonpos:
-                certified.append((lo, hi, nonneg))
-            elif not nonneg and hi - lo > tol:
-                start = _one_root_start(c, zcut)
-                if start is None:
-                    split.append((lo, hi, c))
+                certified[j].append((lo, hi, nonneg))
+            elif not nonneg and hi - lo > jobs[j][1]:
+                start = _one_root_start(c if listed else c.tolist(), zcut)
+                if start is not None:
+                    isolated.append((j, lo, hi, c, start))
                 else:
-                    isolated.append((c, lo, hi, start))
-        lefts, rights = _dc_split_many([c for _, _, c in split], [0.5] * len(split))
+                    n = len(c) if len(c) <= _NUMPY_CUTOVER + 1 else 0
+                    split.setdefault(n, []).append((j, lo, hi, c))
         level = []
-        for (lo, hi, _), left, right in zip(split, lefts, rights):
-            mid = 0.5 * (lo + hi)
-            level += ((lo, mid, left), (mid, hi, right))
-    if isolated:
-        rows, los, his, starts = zip(*isolated)
+        for n, panels in split.items():
+            rows = [c for _, _, _, c in panels]
+            lefts, rights = _dc_split_many(rows, [0.5] * len(rows)) if n else _halve(rows)
+            for (j, lo, hi, _), left, right in zip(panels, lefts, rights):
+                mid = 0.5 * (lo + hi)
+                level += ((j, lo, mid, left), (j, mid, hi, right))
+    batches = {}  # coefficient count: the isolated panels of jobs that did not stall
+    for panel in isolated:
+        if out[panel[0]] is None:
+            batches.setdefault(len(panel[3]), []).append(panel)
+    for batch in batches.values():
+        js, los, his, rows, starts = zip(*batch)
         widths = [hi - lo for lo, hi in zip(los, his)]
-        for c, lo, hi, t in zip(rows, los, his, _polish(rows, starts, widths, [tol] * len(rows))):
+        for (j, lo, hi, c, _), t in zip(batch, _polish(rows, starts, widths, [jobs[j][1] for j in js])):
             r = lo + t * (hi - lo)
-            certified += ((lo, r, c[0] > 0.0), (r, hi, c[0] < 0.0))
-    return _gap_roots(certified, tol)
+            certified[j] += ((lo, r, c[0] > 0.0), (r, hi, c[0] < 0.0))
+    return [err if err is not None else _gap_roots(certified[j], jobs[j][1]) for j, err in enumerate(out)]
 
 
 def _gap_roots(certified, tol: float) -> List[float]:
@@ -663,65 +663,6 @@ def _gap_roots(certified, tol: float) -> List[float]:
         if positive != after and tol < r < 1.0 - tol:
             roots.append(r)
     return roots
-
-
-def _frontier(jobs: Sequence[Tuple[Sequence[float], float]]) -> List[object]:
-    """_sign_change_params_many of jobs longer than the cutover, together.
-    The frontier is a coefficient-major (coefficients, panels) array of every
-    panel of one depth, of every job; a job that stalls leaves it.  After the
-    last level the isolated panels are polished in one batch per length."""
-    import numpy as np
-    k = len(jobs)
-    lens = np.array([len(dc) for dc, _ in jobs])
-    c = np.full((lens.max(), k), np.nan)  # a column's rows past its length are NaN
-    for i, (dc, _) in enumerate(jobs):
-        c[: len(dc), i] = dc
-    zcut = 1e-12 * np.maximum(1.0, np.fmax.reduce(np.abs(c), axis=0))
-    tol = np.array([t for _, t in jobs])
-    owner, lo, hi = np.arange(k), np.zeros(k), np.ones(k)
-    visited = np.zeros(k, dtype=np.int64)
-    stalled = {}  # job: its ResourceError
-    certified = []  # per level: owner, lo, hi, positive
-    isolated = []  # per level: coefficients, owner, lo, hi, start
-    while owner.size:
-        visited += np.bincount(owner, minlength=k)
-        if visited.max() > _MAX_PANELS:
-            over = visited[owner] > _MAX_PANELS
-            for j in set(owner[over].tolist()):
-                i = min(np.flatnonzero(owner == j), key=lo.__getitem__)
-                stalled[j] = _stall(lo[i], hi[i])
-            c, owner, lo, hi = c[:, ~over], owner[~over], lo[~over], hi[~over]
-        nonneg = np.fmin.reduce(c, axis=0) >= -zcut[owner]
-        nonpos = np.fmax.reduce(c, axis=0) <= zcut[owner]
-        sure = nonneg != nonpos
-        certified.append((owner[sure], lo[sure], hi[sure], nonneg[sure]))
-        cols = np.flatnonzero(~(nonneg | nonpos) & (hi - lo > tol[owner]))
-        start = [_one_root_start(c[: lens[j], x].tolist(), zcut[j]) for x, j in zip(cols, owner[cols])]
-        one = [i for i, t in enumerate(start) if t is not None]
-        if one:
-            x = cols[one]
-            isolated.append((c[:, x], owner[x], lo[x], hi[x], np.array([start[i] for i in one])))
-            cols = np.delete(cols, one)
-        c = _halve(c, cols, lens[owner[cols]])
-        owner, lo, hi = owner[cols], lo[cols], hi[cols]
-        mid = 0.5 * (lo + hi)
-        owner = np.concatenate((owner, owner))
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-
-    if isolated:
-        c, owner, lo, hi, start = (np.concatenate(col, axis=-1) for col in zip(*isolated))
-        t = np.empty(owner.size)
-        for m in set(lens[owner].tolist()):
-            x = np.flatnonzero(lens[owner] == m)
-            t[x] = _polish(c[:m, x].T, start[x], hi[x] - lo[x], tol[owner[x]])
-        r = lo + t * (hi - lo)
-        rising = c[0] < 0.0
-        certified.append((owner, lo, r, ~rising))
-        certified.append((owner, r, hi, rising))
-    panels: List[list] = [[] for _ in range(k)]
-    for j, a, b, positive in zip(*(np.concatenate(col).tolist() for col in zip(*certified))):
-        panels[j].append((a, b, positive))
-    return [stalled[j] if j in stalled else _gap_roots(panels[j], jobs[j][1]) for j in range(k)]
 
 
 def _derivative_job(p: BernsteinPoly):
@@ -754,7 +695,7 @@ def _derivative_job(p: BernsteinPoly):
 def critical_points_many(fs: Sequence[object]) -> List[object]:
     """critical_points of every function model in one call: per function, its
     CriticalSet or the exception critical_points would raise for it.  The
-    Bernstein pieces of every function share one subdivision frontier, and a
+    Bernstein pieces of every function share one subdivision, and a
     function with none builds no job.  Never raises for the batch; the result
     of each function does not depend on its mates."""
     pieces: List[BernsteinPoly] = []

@@ -284,6 +284,8 @@ def test_outputs_match_pinned_digests():
         return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
     diminish = run_diminish_campaign(seed=42, cases=20, lambda_families=("constant", "linear"))
+    # images of degrees 1 to 60: derivatives split in lists and by _halve in one level
+    diminish_60 = run_diminish_campaign(seed=5, cases=2, n_max=60, lambda_families=("constant", "linear"))
     oracle = [
         rec for rec in run_oracle_crosscheck(seed=7, cases=40).to_json()["cases"]
         if rec["inputs"]["family"] not in ("power", "nlog")
@@ -334,6 +336,7 @@ def test_outputs_match_pinned_digests():
     assert len(oracle) == 24
     assert {
         "diminish": sha1(dumps(diminish.to_json(), indent=2)),
+        "diminish_60": sha1(dumps(diminish_60.to_json(), indent=2)),
         "oracle": sha1(dumps(oracle, indent=2)),
         "converge": sha1(converge.to_csv()),
         "converge_skipping": sha1(skipping.to_csv()),
@@ -343,6 +346,7 @@ def test_outputs_match_pinned_digests():
         "counterexample": sha1(dumps(counterexample)),
     } == {
         "diminish": "9f1725a3edabb20e9dca880ac5bd392a5422f25a",
+        "diminish_60": "91e366e02055c5f91fc056c6547679639c3b51bb",
         "oracle": "671eb0d20094d697bed1b20ff25f80132ce74949",
         "converge": "ffb0b440fa64a0c491655ccaa4e4571a5423fc31",
         "converge_skipping": "9dde267b8ac85f4931a1946142e60d6c684d44fe",

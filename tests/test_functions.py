@@ -31,7 +31,7 @@ from lamvar.experiments import random_plf
 
 
 def _sign_change_params(dcoeffs, tol):
-    # one job of the frontier, raising its error
+    # one job of the subdivision, raising its error
     return functions._raised(functions._sign_change_params_many([(dcoeffs, tol)])[0])
 
 
@@ -688,7 +688,7 @@ def _reference_polish(c, t, width, tol):
 
 def _reference_sign_change_params(dcoeffs, tol, polished=None):
     """The depth-first subdivision of one derivative: the scalar loop the
-    batched frontier replaces, kept as its reference.  A panel about to be
+    level-synchronous subdivision replaces, kept as its reference.  A panel about to be
     split that holds one simple root is polished instead
     and certified as its two halves at the root; the polished roots are
     also appended to the list polished, if one is given."""
@@ -747,8 +747,8 @@ def test_split_chunks_keep_the_bits(monkeypatch):
     degrees = (1, 5, 12, 49, 64, 100)
     polys = [BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)]) for n in degrees]
     expected = [_bits(c) for c in critical_points_many(polys * 2)]
-    # derivatives of one length above the cutover: every chunk's columns end
-    # on its last row, which the right halves copy instead of gathering
+    # derivatives of one length above the cutover, whose chunks' columns
+    # all end on their last row, then of mixed lengths
     jobs = [functions._derivative_job(BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(n + 1)]))
             for n in (50, 50, 50, 80)]
     roots = [[r.hex() for r in _reference_sign_change_params(dc, tol)] for dc, tol in jobs]
@@ -758,6 +758,53 @@ def test_split_chunks_keep_the_bits(monkeypatch):
         for batch in (slice(0, 3), slice(3, 4), slice(0, 4)):  # the last one mixes lengths
             got = functions._sign_change_params_many(jobs[batch])
             assert [[r.hex() for r in rs] for rs in got] == roots[batch]
+
+
+def test_halve_matches_the_list_split(monkeypatch):
+    # rows of mixed lengths, then of one length, then _halve's own halves,
+    # against the one-row kernel, bit for bit
+    rng = random.Random(12)
+    mixed = [tuple(rng.uniform(-1.0, 1.0) for _ in range(n)) for n in (50, 64, 97, 300, 64)]
+    equal = [tuple(rng.uniform(-1.0, 1.0) for _ in range(80)) for _ in range(3)]
+
+    def bits(rows):
+        return [[float(x).hex() for x in row] for row in rows]
+
+    def one_by_one(rows):
+        halves = [functions._dc_split_many([row], [0.5]) for row in rows]
+        return [bits(left) + bits(right) for left, right in halves]
+
+    for split in (functions._SPLIT_COEFFS, 1):  # 1: one column a chunk
+        monkeypatch.setattr(functions, "_SPLIT_COEFFS", split)
+        for rows in (mixed, equal):
+            lefts, rights = functions._halve(rows)
+            assert [bits([a]) + bits([b]) for a, b in zip(lefts, rights)] == one_by_one(rows)
+            again = functions._halve(lefts + rights)
+            assert [bits([a]) + bits([b]) for a, b in zip(*again)] == one_by_one(lefts + rights)
+
+
+def test_stalled_job_drops_its_isolated_panels(monkeypatch):
+    # the derivative (t - 0.3)^2 (t - 0.8), to rounding: its root at 0.8 is
+    # isolated on [0.5, 1] at level 1, and at a budget of 32 its touch at
+    # 0.3 stalls the job at level 16.  The stalled job's isolated panel is
+    # not polished; its mate of the same length is, with the roots it has alone
+    dc = (-0.072, 0.118, -0.15866666666666662, 0.098)
+    mate = (-1.0, 0.5, 1.0, 2.0)
+    assert _sign_change_params(dc, 1e-12) == [0.7999999999999999]
+    monkeypatch.setattr(functions, "_MAX_PANELS", 32)
+    alone = _sign_change_params(mate, 1e-12)
+    polished = []
+    polish = functions._polish
+
+    def counted(rows, *args):
+        polished.append(len(rows))
+        return polish(rows, *args)
+
+    monkeypatch.setattr(functions, "_polish", counted)
+    stalled, roots = functions._sign_change_params_many([(dc, 1e-12), (mate, 1e-12)])
+    assert re.search(_TOUCH_STALL, str(stalled))
+    assert roots == alone and len(alone) == 1
+    assert polished == [1]
 
 
 def _exact_sign(dcoeffs, t):
@@ -781,9 +828,9 @@ _POLISH_EPS = Fraction(1, 10 ** 15)
 def test_polished_roots_bracket_an_exact_sign_change():
     # derivatives of degrees 1 to 255: operator images of random
     # piecewise-linear functions at degrees 2 to 12 and 30 to 49, whose
-    # derivatives the list walk isolates up to degree 48, and random
-    # Bernstein polynomials and the pieces of a degree-256 difference
-    # B_n f - f, which the array frontier isolates
+    # derivatives are split in lists up to degree 48, and random Bernstein
+    # polynomials and the pieces of a degree-256 difference B_n f - f,
+    # whose derivatives _halve splits
     ops = (bernstein_of, kantorovich_of)
     polys = [op(random_plf(s, 8), n) for s in (1, 2, 3) for n in range(2, 13) for op in ops]
     polys += [op(random_plf(4, 8), n) for n in (31, 40, 49) for op in ops]
@@ -829,7 +876,7 @@ def test_polish_branches_match_the_scalar_reference():
 
 def test_polished_root_within_tol_of_an_end_is_dropped():
     # the difference coefficients of t - 1e-7 at degree 60 hold one root;
-    # the frontier polishes it on [0, 1], and the end filter drops it when
+    # it is polished on [0, 1], and the end filter drops it when
     # the tolerance is wider than its distance from the end
     rising = [k / 60 - 1e-7 for k in range(61)]
     falling = [-c for c in rising[::-1]]  # its mirror: the root at 1 - 1e-7
