@@ -50,7 +50,7 @@ DIMINISH_MAX_BREAKPOINTS = 8
 #: The work a diminish run may take: its cases times the sum of
 #: n*n + DIMINISH_IMAGE_WORK over the images of one case, both operators
 #: counted.  `--cases 1 --nmax 467`, the largest one-case run it admits,
-#: takes 3.1-3.9 s on two cores, and `--cases 10 --nmax 209` 4.9-5.6 s.
+#: takes 2.2-3.2 s on two cores, and `--cases 10 --nmax 209` 3.2-4.8 s.
 DIMINISH_WORK_BUDGET = 70_000_000
 #: The fixed work of one diminish image, in units of the n*n term: its
 #: critical set and candidate solves.  Measured on two cores: an image at

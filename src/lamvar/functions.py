@@ -5,17 +5,16 @@ with explicit values at their jump points, polynomials in the Bernstein basis
 (optionally restricted to a subinterval), and piecewise collections of the
 latter.  ``eval_many`` evaluates every model (``eval`` is its one-point case).
 Polynomial evaluation, restriction and splitting go through one de Casteljau
-kernel, ``_dc_split_many``, which splits many coefficient rows of one length,
+kernel, ``_dc_split_many``, which splits many coefficient rows of any lengths,
 each at its own parameter (a value is the last coefficient of the left half);
 coefficients are never converted to the monomial basis.  Degree elevation runs
 one vectorized step per degree over many rows at once, bit for bit the scalar
 recurrence.  Extrema are isolated by one subdivision over every derivative of
-a batch, driven by coefficient sign certificates, level by level: each level
-splits panels up to the kernel's cutover in lists, one kernel call per
-length, and all longer panels in one array call (_halve).  At every degree a
-panel whose coefficients change sign once holds one simple root; it leaves
-the subdivision and its root is polished by safeguarded Newton.  Other roots
-are the midpoints of the gaps between certified panels of opposite sign.
+a batch, driven by coefficient sign certificates, level by level, one kernel
+call a level.  At every degree a panel whose coefficients change sign once
+holds one simple root; it leaves the subdivision, and the roots of all such
+panels are polished together by safeguarded Newton.  Other roots are the
+midpoints of the gaps between certified panels of opposite sign.
 
 Evaluation identities hold to 1e-12.  Root positions are resolved to
 ``MERGE_TOL`` (1e-12), the distance at which critical points merge; a polished
@@ -34,17 +33,17 @@ from .errors import DomainError, InvalidInputError, ResourceError, _check_positi
 
 # Degree above which _dc_split_many, the one de Casteljau split kernel
 # (evaluation reads its last left-edge coefficient), runs on numpy arrays: one
-# array step per degree for all its rows.  One row costs 12 us (list) vs 45 us
-# (arrays) at degree 12 and 38 ms vs 3-5 ms at degree 1023 (Python 3.11, 2-core
-# Xeon); diminish and converge need both.  The list loop also keeps root
-# isolation, diminish, counterexample and operator --emit samples numpy-free
-# up to this degree.
+# array step per degree for every row of a chunk.  One row costs 12 us (list)
+# vs 45 us (arrays) at degree 12 and 38 ms vs 3-5 ms at degree 1023 (Python
+# 3.11, 2-core Xeon); diminish and converge need both.  The list loop also
+# keeps root isolation, diminish, counterexample and operator --emit samples
+# numpy-free up to this degree.
 # Elevation (_elevate) is on arrays at every degree.
 _NUMPY_CUTOVER = 48
 _MAX_PANELS = 20000
-# Coefficients that root isolation splits in one array step: 32 panels of a
-# degree-1024 derivative, so a wide level's scratch arrays stay ~256 KB each.
-# operator --emit samples evaluates as many coefficients in one kernel call.
+# Coefficients that _dc_split_many splits in one array step: 32 rows of
+# degree 1024, so a wide call's scratch arrays stay ~256 KB each.  operator
+# --emit samples evaluates as many coefficients in one kernel call.
 _SPLIT_COEFFS = 32 * 1024
 # Points closer than this are one point: derivative roots are resolved to it,
 # critical sets and candidate lists merge at it, polynomial arguments and
@@ -235,38 +234,29 @@ class StepFunction:
 
 
 def _dc_split_many(rows: Sequence[Sequence[float]], ts: Sequence[float]):
-    """Both halves of every coefficient row rows[i] at its parameter ts[i]
-    (all on local [0,1]): (lefts, rights), one row each per input row.  The
-    rows have one length n + 1; above _NUMPY_CUTOVER the halves are two
-    (rows, n + 1) float arrays, else lists of tuples.
+    """Both halves of every coefficient row rows[i], of any length, at its
+    parameter ts[i] (all on local [0,1]): (lefts, rights), one row each per
+    input row, tuples for a row of at most _NUMPY_CUTOVER + 1 coefficients
+    and float array views for a longer one.
 
     Step m overwrites the first m coefficients with ``s * w[i] + t * w[i + 1]``
     in place: coefficient 0 is then the left half's next one, and coefficient
-    m, which no later step writes, is the right half's.  Above
-    _NUMPY_CUTOVER one array step advances every row with these IEEE
-    operations, so each row's halves do not depend on its mates.
+    m, which no later step writes, is the right half's.  Longer rows are
+    split on arrays, longest first, _SPLIT_COEFFS coefficients at a time:
+    coefficient-major, in a chunk as long as its longest row, n + 1, with a
+    row of d + 1 coefficients at positions n - d ... n.  Chunk step m is then
+    the row's step m - (n - d), and the row's left half is read at position
+    n - d.  One array step does these IEEE operations for every row of a
+    chunk, so each row's halves do not depend on its mates.
     """
-    if not len(rows):
-        return [], []
-    n = len(rows[0]) - 1
-    if n > _NUMPY_CUTOVER:
-        import numpy as np
-        k = len(rows)
-        # coefficient-major: coefficient i of every row at [i * k, (i + 1) * k)
-        w = np.array(rows, dtype=np.float64).T.reshape(-1)
-        t = np.tile(np.asarray(ts, dtype=np.float64), n + 1)
-        s = 1.0 - t
-        left = np.empty((n + 1, k))
-        left[0] = w[:k]
-        for j, m in enumerate(range(n * k, 0, -k), 1):
-            h = t[:m] * w[k : m + k]
-            a = w[:m]
-            a *= s[:m]
-            a += h  # s * w[i] + t * w[i + 1]: IEEE addition commutes
-            left[j] = w[:k]
-        return left.T, w.reshape(n + 1, k).T
-    lefts, rights = [], []
+    lefts, rights, longer = [], [], []  # longer: the positions of rows split on arrays
     for coeffs, t in zip(rows, ts):
+        n = len(coeffs) - 1
+        if n > _NUMPY_CUTOVER:
+            longer.append(len(lefts))
+            lefts.append(None)
+            rights.append(None)
+            continue
         s = 1.0 - t
         w = list(coeffs)
         left = [w[0]]
@@ -276,6 +266,37 @@ def _dc_split_many(rows: Sequence[Sequence[float]], ts: Sequence[float]):
             left.append(w[0])
         lefts.append(tuple(left))
         rights.append(tuple(w))
+    if not longer:
+        return lefts, rights
+    import numpy as np
+    longer.sort(key=lambda r: -len(rows[r]))
+    a = 0
+    while a < len(longer):
+        n = len(rows[longer[a]]) - 1
+        chunk = longer[a : a + max(1, _SPLIT_COEFFS // (n + 1))]
+        a += len(chunk)
+        k = len(chunk)
+        lens = [len(rows[r]) for r in chunk]
+        # coefficient i of every row at [i * k, (i + 1) * k); a row never
+        # reads the zeros before its first position
+        w = np.zeros((n + 1, k))
+        for x, r in enumerate(chunk):
+            w[n + 1 - lens[x] :, x] = rows[r]
+        w = w.reshape(-1)
+        t = np.tile(np.asarray([ts[r] for r in chunk], dtype=np.float64), n + 1)
+        s = 1.0 - t
+        # each row's first position; a chunk of one length reads the slice w[:k]
+        at = None if lens[0] == lens[-1] else (n + 1 - np.array(lens)) * k + np.arange(k)
+        left = np.empty((n + 1, k))
+        for j, m in enumerate(range(n * k, -1, -k)):  # read after step j, then step j + 1
+            left[j] = w[:k] if at is None else w[at]
+            h = t[:m] * w[k : m + k]
+            step = w[:m]
+            step *= s[:m]
+            step += h  # s * w[i] + t * w[i + 1]: IEEE addition commutes
+        left, right = left.T, w.reshape(n + 1, k).T
+        for x, r in enumerate(chunk):
+            lefts[r], rights[r] = left[x, : lens[x]], right[x, n + 1 - lens[x] :]
     return lefts, rights
 
 
@@ -467,49 +488,6 @@ class CriticalSet:
 # -- derivative sign analysis ---------------------------------------------
 
 
-def _halve(rows):
-    """Both halves, at t = 1/2, of every coefficient row of rows, of any
-    lengths: (lefts, rights), views of the rows of one (2 * len(rows), m)
-    array, m the longest row's length.
-
-    The rows are split coefficient-major, _SPLIT_COEFFS coefficients at a
-    time, which bounds the scratch arrays however many rows there are:
-    column i of a chunk holds row i, NaN below its length.  At step j >= 1,
-    row k >= j becomes ``0.5 * w[k - 1] + 0.5 * w[k]``, as in _dc_split_many,
-    so the halves agree with it bit for bit.  A row never reads the rows
-    below it, so columns of every length split together.  Row j is final
-    after step j and is the left half's coefficient j; row lens - 1 after
-    step j is the right half's coefficient lens - 1 - j.
-    """
-    import numpy as np
-    lens = [len(row) for row in rows]
-    m, s = max(lens), len(rows)
-    out = np.empty((2 * s, m))
-    step = max(1, _SPLIT_COEFFS // m)
-    for a in range(0, s, step):
-        b = min(s, a + step)
-        w = np.full((m, b - a), np.nan)
-        for x, row in enumerate(rows[a:b]):
-            w[: len(row), x] = row
-        h = np.empty_like(w)
-        # diag[1 + j] is row lens - 1 after step j; diag[0] is NaN, read by
-        # the right halves' rows past their length
-        diag = np.empty((m + 1, b - a))
-        diag[0] = np.nan
-        at = (np.array(lens[a:b]) - 1) * (b - a) + np.arange(b - a)
-        flat = w.reshape(-1)  # a view: take reads w's current rows
-        flat.take(at, out=diag[1])
-        for j in range(1, m):
-            np.multiply(w[j - 1 :], 0.5, out=h[j - 1 :])
-            np.add(h[j - 1 : -1], h[j:], out=w[j:])
-            flat.take(at, out=diag[1 + j])
-        out[a:b] = w.T
-        # right coefficient i is diag[lens - i]; negative positions clip to NaN row 0
-        back = at + (b - a) - np.arange(m)[:, None] * (b - a)
-        out[s + a : s + b] = diag.reshape(-1).take(back.T, mode="clip")
-    return [out[i, :n] for i, n in enumerate(lens)], [out[s + i, :n] for i, n in enumerate(lens)]
-
-
 def _one_root_start(c, zcut):
     """The zero of the control polygon (local t) of the coefficients c when
     they hold exactly one root, a simple one, to start its polish; else None.
@@ -531,27 +509,27 @@ def _one_root_start(c, zcut):
 
 
 def _polish(rows, starts, widths, tols):
-    """The root, in local t, of each coefficient row of rows (one length; ends
-    of opposite signs, nonzero coefficients changing sign once) from its
+    """The root, in local t, of each coefficient row of rows (any lengths;
+    ends of opposite signs, nonzero coefficients changing sign once) from its
     start starts[i], on a panel of width widths[i] in a job of tolerance
     tols[i].  Safeguarded Newton: one kernel call per pass gives every live
-    row its value, left[-1], and slope, n * (right[1] - left[-2]).  A row
+    row its value, left[-1], and slope, n * (right[1] - left[-2]), n its own
+    degree len(left) - 1; the pass's halves are dropped before the next.  A row
     keeps a sign bracket and bisects it when the Newton point leaves it or
     does not halve the previous step.  A row stops at a value of exactly 0,
     a step of at most tol / 2 in x, a bracket of at most tol in x, or after
     as many passes as the binary exponent of width / tol, which is at least
     the number of bisections that reach tol.  Each row's arithmetic reads
     only its own values."""
-    n = len(rows[0]) - 1
     t = [float(x) for x in starts]
     lo, hi, prev = [0.0] * len(t), [1.0] * len(t), [1.0] * len(t)
     passes = [math.frexp(w / e)[1] for w, e in zip(widths, tols)]
     live = range(len(t))
     while live:
-        lefts, rights = _dc_split_many([rows[i] for i in live], [t[i] for i in live])
+        halves = _dc_split_many([rows[i] for i in live], [t[i] for i in live])
         going = []
-        for i, left, right in zip(live, lefts, rights):
-            at, v, d = t[i], float(left[-1]), n * float(right[1] - left[-2])
+        for i, left, right in zip(live, *halves):
+            at, v, d = t[i], float(left[-1]), (len(left) - 1) * float(right[1] - left[-2])
             if (v < 0.0) == (rows[i][0] < 0.0):  # at lies on the start's side of the root
                 lo[i] = at
             else:
@@ -568,7 +546,7 @@ def _polish(rows, starts, widths, tols):
             elif (prev[i] * widths[i] > 0.5 * tols[i] and (hi[i] - lo[i]) * widths[i] > tols[i]
                   and passes[i]):
                 going.append(i)
-        live = going
+        live, halves = going, None
     return t
 
 
@@ -584,17 +562,15 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
     their job's tol are split, the narrower ones dropped.  A panel about to
     be split that holds one simple root (_one_root_start) leaves the
     subdivision instead; after the last level the isolated panels of every
-    job are polished (_polish), one batch per coefficient count, and a root
-    r enters as two certified half-panels, [lo, r] and [r, hi].  A job whose
-    visited panels pass _MAX_PANELS stops with a ResourceError naming its
-    first (leftmost) panel of that level, and its isolated panels are dropped.
+    job are polished in one _polish call, and a root r enters as two
+    certified half-panels, [lo, r] and [r, hi].  A job whose visited panels
+    pass _MAX_PANELS stops with a ResourceError naming its first (leftmost)
+    panel of that level, and its isolated panels are dropped.
 
-    A level is split in one kernel call per length of at most
-    _NUMPY_CUTOVER + 1 coefficients (the list form of _dc_split_many) and
-    one _halve call for all longer panels, whatever their lengths.  A
-    panel's fate depends only on its own coefficients, zcut and tol, and
-    both kernels do the same IEEE operations, so a job's roots and its error
-    do not depend on its mates.
+    A level is split in one _dc_split_many call, whatever its panels'
+    lengths.  A panel's fate depends only on its own coefficients, zcut and
+    tol, and the kernel's halves of a row do not depend on its mates, so a
+    job's roots and its error do not depend on its mates either.
     """
     zcuts = [1e-12 * max(1.0, max(map(abs, dc))) for dc, _ in jobs]
     out: List[object] = [None] * len(jobs)  # a stalled job's error
@@ -611,12 +587,11 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
                     f"derivative sign analysis passed its budget of {_MAX_PANELS} panels; "
                     f"stalled on panel [{lo:.17g}, {hi:.17g}]"
                 )
-        # a job's panels share its length, so they stay left to right in one group
-        split = {}  # coefficient count, or 0 for every longer panel: panels to split
+        split = []  # panels to split, each job's left to right
         for j, lo, hi, c in level:
             if out[j] is not None:
                 continue
-            listed = isinstance(c, (tuple, list))  # else an array row view of _halve
+            listed = isinstance(c, (tuple, list))  # else an array row view of _dc_split_many
             zcut = zcuts[j]
             nonneg = (min(c) if listed else c.min()) >= -zcut
             nonpos = (max(c) if listed else c.max()) <= zcut
@@ -627,20 +602,14 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
                 if start is not None:
                     isolated.append((j, lo, hi, c, start))
                 else:
-                    n = len(c) if len(c) <= _NUMPY_CUTOVER + 1 else 0
-                    split.setdefault(n, []).append((j, lo, hi, c))
+                    split.append((j, lo, hi, c))
         level = []
-        for n, panels in split.items():
-            rows = [c for _, _, _, c in panels]
-            lefts, rights = _dc_split_many(rows, [0.5] * len(rows)) if n else _halve(rows)
-            for (j, lo, hi, _), left, right in zip(panels, lefts, rights):
-                mid = 0.5 * (lo + hi)
-                level += ((j, lo, mid, left), (j, mid, hi, right))
-    batches = {}  # coefficient count: the isolated panels of jobs that did not stall
-    for panel in isolated:
-        if out[panel[0]] is None:
-            batches.setdefault(len(panel[3]), []).append(panel)
-    for batch in batches.values():
+        halves = _dc_split_many([c for _, _, _, c in split], [0.5] * len(split))
+        for (j, lo, hi, _), left, right in zip(split, *halves):
+            mid = 0.5 * (lo + hi)
+            level += ((j, lo, mid, left), (j, mid, hi, right))
+    batch = [panel for panel in isolated if out[panel[0]] is None]  # of jobs that did not stall
+    if batch:
         js, los, his, rows, starts = zip(*batch)
         widths = [hi - lo for lo, hi in zip(los, his)]
         for (j, lo, hi, c, _), t in zip(batch, _polish(rows, starts, widths, [jobs[j][1] for j in js])):
@@ -783,9 +752,9 @@ def eval_many(fs: Sequence[object], points: Sequence[Sequence[float]]) -> List[L
     point at an end takes a nonzero end coefficient as it is (each kernel step
     would add a signed zero to it); the rest, zero end coefficients included
     (the kernel turns -0.0 into +0.0 next to a positive neighbour), run through
-    the de Casteljau kernel in one call per degree."""
+    the de Casteljau kernel in one call."""
     out: List[List[float]] = []
-    pending = {}  # row length: (slots (i, j) in out, coefficient rows, parameters)
+    slots, rows, ts = [], [], []  # (i, j) in out, its coefficient row and parameter
     for i, (f, pts) in enumerate(zip(fs, points)):
         if not isinstance(f, (BernsteinPoly, PiecewisePolynomial)):
             out.append(list(map(f.eval, pts)))
@@ -803,14 +772,12 @@ def eval_many(fs: Sequence[object], points: Sequence[Sequence[float]]) -> List[L
             end = p.coeffs[0] if t == 0.0 else p.coeffs[-1] if t == 1.0 else 0.0
             vals.append(end)
             if end == 0.0:
-                slots, rows, ts = pending.setdefault(len(p.coeffs), ([], [], []))
                 slots.append((i, j))
                 rows.append(p.coeffs)
                 ts.append(t)
         out.append(vals)
-    for slots, rows, ts in pending.values():
-        for (i, j), left in zip(slots, _dc_split_many(rows, ts)[0]):
-            out[i][j] = float(left[-1])
+    for (i, j), left in zip(slots, _dc_split_many(rows, ts)[0]):
+        out[i][j] = float(left[-1])
     return out
 
 

@@ -284,8 +284,10 @@ def test_outputs_match_pinned_digests():
         return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
     diminish = run_diminish_campaign(seed=42, cases=20, lambda_families=("constant", "linear"))
-    # images of degrees 1 to 60: derivatives split in lists and by _halve in one level
+    # images of degrees 1 to 60: derivatives split as lists and arrays in one kernel call
     diminish_60 = run_diminish_campaign(seed=5, cases=2, n_max=60, lambda_families=("constant", "linear"))
+    # images of degrees 1 to 150: one polish call over array chunks of mixed lengths
+    diminish_150 = run_diminish_campaign(seed=5, cases=1, n_max=150, lambda_families=("constant", "linear"))
     oracle = [
         rec for rec in run_oracle_crosscheck(seed=7, cases=40).to_json()["cases"]
         if rec["inputs"]["family"] not in ("power", "nlog")
@@ -337,6 +339,7 @@ def test_outputs_match_pinned_digests():
     assert {
         "diminish": sha1(dumps(diminish.to_json(), indent=2)),
         "diminish_60": sha1(dumps(diminish_60.to_json(), indent=2)),
+        "diminish_150": sha1(dumps(diminish_150.to_json(), indent=2)),
         "oracle": sha1(dumps(oracle, indent=2)),
         "converge": sha1(converge.to_csv()),
         "converge_skipping": sha1(skipping.to_csv()),
@@ -347,6 +350,7 @@ def test_outputs_match_pinned_digests():
     } == {
         "diminish": "9f1725a3edabb20e9dca880ac5bd392a5422f25a",
         "diminish_60": "91e366e02055c5f91fc056c6547679639c3b51bb",
+        "diminish_150": "aecded09fdc3ee8905ad2f3317e444ffd08d99a4",
         "oracle": "671eb0d20094d697bed1b20ff25f80132ce74949",
         "converge": "ffb0b440fa64a0c491655ccaa4e4571a5423fc31",
         "converge_skipping": "9dde267b8ac85f4931a1946142e60d6c684d44fe",

@@ -349,9 +349,11 @@ def _split_one(coeffs, t):
 
 def test_split_kernel_bits_match_scalar_reference():
     # many rows of one length, each at its own t, in one call: each row as
-    # if split alone, signed zeros included, on both sides of the cutover
+    # if split alone, signed zeros included, on both sides of the cutover;
+    # then every row of every length in one call, in shuffled order
     rng = random.Random(23)
     ts = [0.0, 0.5, rng.random(), 1.0]
+    everything = []
     for n in (1, 12, 48, 49, 64, 200, 1024):
         rows = [[rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0))) for _ in range(n + 1)]
                 for _ in ts]
@@ -362,6 +364,12 @@ def test_split_kernel_bits_match_scalar_reference():
         assert _hexes(rights) == _hexes([right for _, right in expected])
         # the one-row case
         assert _hexes(_split_one(rows[2], ts[2])) == _hexes(expected[2])
+        everything += zip(rows, ts)
+    rng.shuffle(everything)
+    lefts, rights = functions._dc_split_many(*zip(*everything))
+    expected = [_split_reference(row, t) for row, t in everything]
+    assert _hexes(lefts) == _hexes([left for left, _ in expected])
+    assert _hexes(rights) == _hexes([right for _, right in expected])
     assert functions._dc_split_many([], []) == ([], [])
 
 
@@ -760,27 +768,49 @@ def test_split_chunks_keep_the_bits(monkeypatch):
             assert [[r.hex() for r in rs] for rs in got] == roots[batch]
 
 
-def test_halve_matches_the_list_split(monkeypatch):
-    # rows of mixed lengths, then of one length, then _halve's own halves,
-    # against the one-row kernel, bit for bit
+def test_mixed_lengths_match_the_one_row_split(monkeypatch):
+    # rows of mixed lengths, then of one length, then their own halves, at
+    # t = 1/2 and at a random t, against the one-row kernel, bit for bit
     rng = random.Random(12)
     mixed = [tuple(rng.uniform(-1.0, 1.0) for _ in range(n)) for n in (50, 64, 97, 300, 64)]
     equal = [tuple(rng.uniform(-1.0, 1.0) for _ in range(80)) for _ in range(3)]
+    t = rng.random()
 
     def bits(rows):
         return [[float(x).hex() for x in row] for row in rows]
 
-    def one_by_one(rows):
-        halves = [functions._dc_split_many([row], [0.5]) for row in rows]
+    def one_by_one(rows, ts):
+        halves = [functions._dc_split_many([row], [t]) for row, t in zip(rows, ts)]
         return [bits(left) + bits(right) for left, right in halves]
 
-    for split in (functions._SPLIT_COEFFS, 1):  # 1: one column a chunk
+    for split in (functions._SPLIT_COEFFS, 1):  # 1: one row a chunk
         monkeypatch.setattr(functions, "_SPLIT_COEFFS", split)
         for rows in (mixed, equal):
-            lefts, rights = functions._halve(rows)
-            assert [bits([a]) + bits([b]) for a, b in zip(lefts, rights)] == one_by_one(rows)
-            again = functions._halve(lefts + rights)
-            assert [bits([a]) + bits([b]) for a, b in zip(*again)] == one_by_one(lefts + rights)
+            ts = [(0.5, t)[i % 2] for i in range(len(rows))]
+            lefts, rights = functions._dc_split_many(rows, ts)
+            assert [bits([a]) + bits([b]) for a, b in zip(lefts, rights)] == one_by_one(rows, ts)
+            again = functions._dc_split_many(lefts + rights, ts + ts)
+            assert [bits([a]) + bits([b]) for a, b in zip(*again)] == one_by_one(lefts + rights, ts + ts)
+
+
+def test_one_polish_call_for_every_length(monkeypatch):
+    # derivatives of 4, 50, 64 and 97 coefficients, each with one simple
+    # root, polished in one call, each with the roots it has alone
+    jobs = [(tuple(math.tanh(4.0 * (k / (m - 1) - r)) for k in range(m)), 1e-12)
+            for m, r in ((4, 0.3), (50, 0.45), (64, 0.6), (97, 0.7))]
+    alone = [_sign_change_params(dc, tol) for dc, tol in jobs]
+    assert alone == [_reference_sign_change_params(dc, tol) for dc, tol in jobs]
+    assert [len(roots) for roots in alone] == [1, 1, 1, 1]
+    polished = []
+    polish = functions._polish
+
+    def counted(rows, *args):
+        polished.append(len(rows))
+        return polish(rows, *args)
+
+    monkeypatch.setattr(functions, "_polish", counted)
+    assert functions._sign_change_params_many(jobs) == alone
+    assert polished == [4]
 
 
 def test_stalled_job_drops_its_isolated_panels(monkeypatch):
@@ -830,7 +860,7 @@ def test_polished_roots_bracket_an_exact_sign_change():
     # piecewise-linear functions at degrees 2 to 12 and 30 to 49, whose
     # derivatives are split in lists up to degree 48, and random Bernstein
     # polynomials and the pieces of a degree-256 difference B_n f - f,
-    # whose derivatives _halve splits
+    # whose derivatives are split on arrays
     ops = (bernstein_of, kantorovich_of)
     polys = [op(random_plf(s, 8), n) for s in (1, 2, 3) for n in range(2, 13) for op in ops]
     polys += [op(random_plf(4, 8), n) for n in (31, 40, 49) for op in ops]
