@@ -23,7 +23,7 @@ from .errors import (
     PropertyViolationError,
     ResourceError,
 )
-from .functions import _SPLIT_COEFFS, eval_many
+from .functions import eval_many
 from .operators import SAMPLE_CAP, _check_work, bernstein_of, kantorovich_of
 from .serialize import dumps, format_float, load_function_file, load_lambda_file
 from .variation import lambda_variation, restricted_variation, wiener_profile
@@ -102,12 +102,7 @@ def _cmd_operator(args) -> int:
             raise ResourceError(f"{count} samples exceed the sample cap of {SAMPLE_CAP}")
         _check_work(count * p.degree * p.degree / 2, "K*n*n/2 for K samples at degree n")
         xs = [i / (count - 1) for i in range(count)]
-        # one evaluation call per chunk of samples, each chunk holding at most
-        # _SPLIT_COEFFS kernel coefficients; a value does not depend on its chunk
-        chunk = max(1, _SPLIT_COEFFS // len(p.coeffs))
-        values = []
-        for start in range(0, count, chunk):
-            values += eval_many([p], [xs[start : start + chunk]])[0]
+        values = eval_many([p], [xs])[0]
         lines = ["x,value"]
         lines += [f"{format_float(x)},{format_float(v)}" for x, v in zip(xs, values)]
     else:

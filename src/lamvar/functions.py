@@ -6,7 +6,8 @@ with explicit values at their jump points, polynomials in the Bernstein basis
 latter.  ``eval_many`` evaluates every model (``eval`` is its one-point case).
 Polynomial evaluation, restriction and splitting go through one de Casteljau
 kernel, ``_dc_split_many``, which splits many coefficient rows of any lengths,
-each at its own parameter (a value is the last coefficient of the left half);
+each at its own parameter (a value is the last coefficient of the left half),
+and streams each row's halves to its caller, which keeps only those it reads;
 coefficients are never converted to the monomial basis.  Degree elevation runs
 one vectorized step per degree over many rows at once, bit for bit the scalar
 recurrence.  Extrema are isolated by one subdivision over every derivative of
@@ -42,8 +43,7 @@ from .errors import DomainError, InvalidInputError, ResourceError, _check_positi
 _NUMPY_CUTOVER = 48
 _MAX_PANELS = 20000
 # Coefficients that _dc_split_many splits in one array step: 32 rows of
-# degree 1024, so a wide call's scratch arrays stay ~256 KB each.  operator
-# --emit samples evaluates as many coefficients in one kernel call.
+# degree 1024, so a wide call's scratch arrays stay ~256 KB each.
 _SPLIT_COEFFS = 32 * 1024
 # Points closer than this are one point: derivative roots are resolved to it,
 # critical sets and candidate lists merge at it, polynomial arguments and
@@ -235,27 +235,28 @@ class StepFunction:
 
 def _dc_split_many(rows: Sequence[Sequence[float]], ts: Sequence[float]):
     """Both halves of every coefficient row rows[i], of any length, at its
-    parameter ts[i] (all on local [0,1]): (lefts, rights), one row each per
-    input row, tuples for a row of at most _NUMPY_CUTOVER + 1 coefficients
-    and float array views for a longer one.
+    parameter ts[i] (all on local [0,1]), as a stream of (i, left, right),
+    one per input row: tuples for a row of at most _NUMPY_CUTOVER + 1
+    coefficients, in input order, then float array views for the longer
+    rows, longest first.  Callers must not depend on that order.  The
+    stream reads rows and ts lazily, so they must not change while it is
+    read; a chunk's arrays are freed once the caller drops its views.
 
     Step m overwrites the first m coefficients with ``s * w[i] + t * w[i + 1]``
     in place: coefficient 0 is then the left half's next one, and coefficient
     m, which no later step writes, is the right half's.  Longer rows are
-    split on arrays, longest first, _SPLIT_COEFFS coefficients at a time:
-    coefficient-major, in a chunk as long as its longest row, n + 1, with a
-    row of d + 1 coefficients at positions n - d ... n.  Chunk step m is then
-    the row's step m - (n - d), and the row's left half is read at position
-    n - d.  One array step does these IEEE operations for every row of a
-    chunk, so each row's halves do not depend on its mates.
+    split on arrays, _SPLIT_COEFFS coefficients at a time: coefficient-major,
+    in a chunk as long as its longest row, n + 1, with a row of d + 1
+    coefficients at positions n - d ... n.  Chunk step m is then the row's
+    step m - (n - d), and the row's left half is read at position n - d.
+    One array step does these IEEE operations for every row of a chunk, so
+    each row's halves do not depend on its mates.
     """
-    lefts, rights, longer = [], [], []  # longer: the positions of rows split on arrays
-    for coeffs, t in zip(rows, ts):
+    longer = []  # the positions of rows split on arrays
+    for r, (coeffs, t) in enumerate(zip(rows, ts)):
         n = len(coeffs) - 1
         if n > _NUMPY_CUTOVER:
-            longer.append(len(lefts))
-            lefts.append(None)
-            rights.append(None)
+            longer.append(r)
             continue
         s = 1.0 - t
         w = list(coeffs)
@@ -264,10 +265,9 @@ def _dc_split_many(rows: Sequence[Sequence[float]], ts: Sequence[float]):
             for i in range(m):
                 w[i] = s * w[i] + t * w[i + 1]
             left.append(w[0])
-        lefts.append(tuple(left))
-        rights.append(tuple(w))
+        yield r, tuple(left), tuple(w)
     if not longer:
-        return lefts, rights
+        return
     import numpy as np
     longer.sort(key=lambda r: -len(rows[r]))
     a = 0
@@ -296,8 +296,7 @@ def _dc_split_many(rows: Sequence[Sequence[float]], ts: Sequence[float]):
             step += h  # s * w[i] + t * w[i + 1]: IEEE addition commutes
         left, right = left.T, w.reshape(n + 1, k).T
         for x, r in enumerate(chunk):
-            lefts[r], rights[r] = left[x, : lens[x]], right[x, n + 1 - lens[x] :]
-    return lefts, rights
+            yield r, left[x, : lens[x]], right[x, n + 1 - lens[x] :]
 
 
 def _elevate(rows, r: int):
@@ -324,15 +323,12 @@ def _restrictions(rows: Sequence[Sequence[float]], spans: Sequence[Tuple[float, 
     local = [row for row in rows for _ in spans]
     uv = list(spans) * len(rows)
     cut = [i for i, (u, _) in enumerate(uv) if u > 0.0]
-    _, rights = _dc_split_many([local[i] for i in cut], [uv[i][0] for i in cut])
-    for i, c in zip(cut, rights):
-        local[i] = c
+    for x, _, right in _dc_split_many([local[i] for i in cut], [uv[i][0] for i in cut]):
+        local[cut[x]] = right
     cut = [i for i, (_, v) in enumerate(uv) if v < 1.0]
-    lefts, _ = _dc_split_many(
-        [local[i] for i in cut], [(uv[i][1] - uv[i][0]) / (1.0 - uv[i][0]) for i in cut]
-    )
-    for i, c in zip(cut, lefts):
-        local[i] = c
+    ts = [(uv[i][1] - uv[i][0]) / (1.0 - uv[i][0]) for i in cut]
+    for x, left, _ in _dc_split_many([local[i] for i in cut], ts):
+        local[cut[x]] = left
     return local
 
 
@@ -514,7 +510,7 @@ def _polish(rows, starts, widths, tols):
     start starts[i], on a panel of width widths[i] in a job of tolerance
     tols[i].  Safeguarded Newton: one kernel call per pass gives every live
     row its value, left[-1], and slope, n * (right[1] - left[-2]), n its own
-    degree len(left) - 1; the pass's halves are dropped before the next.  A row
+    degree len(left) - 1, and each row's halves are dropped once read.  A row
     keeps a sign bracket and bisects it when the Newton point leaves it or
     does not halve the previous step.  A row stops at a value of exactly 0,
     a step of at most tol / 2 in x, a bracket of at most tol in x, or after
@@ -526,9 +522,9 @@ def _polish(rows, starts, widths, tols):
     passes = [math.frexp(w / e)[1] for w, e in zip(widths, tols)]
     live = range(len(t))
     while live:
-        halves = _dc_split_many([rows[i] for i in live], [t[i] for i in live])
         going = []
-        for i, left, right in zip(live, *halves):
+        for x, left, right in _dc_split_many([rows[i] for i in live], [t[i] for i in live]):
+            i = live[x]
             at, v, d = t[i], float(left[-1]), (len(left) - 1) * float(right[1] - left[-2])
             if (v < 0.0) == (rows[i][0] < 0.0):  # at lies on the start's side of the root
                 lo[i] = at
@@ -546,7 +542,7 @@ def _polish(rows, starts, widths, tols):
             elif (prev[i] * widths[i] > 0.5 * tols[i] and (hi[i] - lo[i]) * widths[i] > tols[i]
                   and passes[i]):
                 going.append(i)
-        live, halves = going, None
+        live = going
     return t
 
 
@@ -603,11 +599,11 @@ def _sign_change_params_many(jobs: Sequence[Tuple[Sequence[float], float]]) -> L
                     isolated.append((j, lo, hi, c, start))
                 else:
                     split.append((j, lo, hi, c))
-        level = []
-        halves = _dc_split_many([c for _, _, _, c in split], [0.5] * len(split))
-        for (j, lo, hi, _), left, right in zip(split, *halves):
+        level = [None] * (2 * len(split))  # a panel's children at 2i and 2i + 1
+        for i, left, right in _dc_split_many([c for _, _, _, c in split], [0.5] * len(split)):
+            j, lo, hi, _ = split[i]
             mid = 0.5 * (lo + hi)
-            level += ((j, lo, mid, left), (j, mid, hi, right))
+            level[2 * i], level[2 * i + 1] = (j, lo, mid, left), (j, mid, hi, right)
     batch = [panel for panel in isolated if out[panel[0]] is None]  # of jobs that did not stall
     if batch:
         js, los, his, rows, starts = zip(*batch)
@@ -776,7 +772,8 @@ def eval_many(fs: Sequence[object], points: Sequence[Sequence[float]]) -> List[L
                 rows.append(p.coeffs)
                 ts.append(t)
         out.append(vals)
-    for (i, j), left in zip(slots, _dc_split_many(rows, ts)[0]):
+    for x, left, _ in _dc_split_many(rows, ts):
+        i, j = slots[x]
         out[i][j] = float(left[-1])
     return out
 

@@ -150,20 +150,26 @@ class LambdaSequence:
         return self._base_term(n + self._shift)
 
     def _base_term(self, k: int) -> float:
+        """The k-th weight of the unshifted sequence; a linear term (the
+        linear family's, or the explicit family's tail) that overflows is
+        refused, since its reciprocal would be 0."""
         fam = self._family
         p = self._params
         if fam == "constant":
             return p["c"]
         if fam == "linear":
-            return p["a"] * k + p["b"]
-        if fam == "power":
+            term = p["a"] * k + p["b"]
+        elif fam == "power":
             return float(k) ** p["p"]
-        if fam == "nlog":
+        elif fam == "nlog":
             return k * math.log(k + 1)
-        prefix = p["prefix"]
-        if k <= len(prefix):
-            return prefix[k - 1]
-        return p["tail"]["a"] * k + p["tail"]["b"]
+        elif k <= len(p["prefix"]):
+            return p["prefix"][k - 1]
+        else:
+            term = p["tail"]["a"] * k + p["tail"]["b"]
+        if term == math.inf:
+            raise InvalidInputError(f"base term {k} (index plus shift) overflows to inf", field="lambda")
+        return term
 
     def tail(self, m: int) -> "LambdaSequence":
         """The sequence with its first m terms dropped.  Tails compose additively."""

@@ -26,11 +26,11 @@ DEGREE_CAP = 1 << 16
 #: The de Casteljau work, about n*n/2 steps per evaluation of a degree-n
 #: image, that a `counterexample` run (over its degrees) or an `operator
 #: --emit samples:K` run (K evaluations) may take.  `counterexample --nmax
-#: 1982`, the largest run it admits, takes about 10 s on two cores.
+#: 1982`, the largest run it admits, takes 6-10 s on two cores.
 WORK_BUDGET = 1_300_000_000
 #: Largest K of `operator --emit samples:K`.  With WORK_BUDGET it bounds a
 #: samples run: the slowest it admits, 1,000 samples at degree 1612, takes
-#: about 9 s on two cores (one evaluation above degree 48 costs ~5 us a degree).
+#: 1.5-2.3 s on two cores (one evaluation above degree 48 costs ~1 us a degree).
 SAMPLE_CAP = 1_000
 
 

@@ -290,6 +290,17 @@ def test_diminish_bad_family_exits_2(capsys, files):
     assert err == "error: lambdas: expected a comma-separated list\n"
 
 
+def test_diminish_ops_picks_the_operators(capsys, files):
+    code, out, _ = run(capsys, ["diminish", "--cases", "2", "--nmax", "3", "--ops", "kantorovich"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["operators"] == "kantorovich"
+    assert [case["outputs"]["worst_op"] for case in doc["cases"]] == ["kantorovich"] * 2
+    code, out, err = run(capsys, ["diminish", "--cases", "2", "--ops", "fourier"])
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'fourier'" in err
+
+
 def test_out_into_missing_directory_exits_2(capsys, files):
     path = str(files["dir"] / "missing" / "report.json")
     code, out, err = run(capsys, ["diminish", "--cases", "2", "--nmax", "2", "--out", path])
@@ -392,9 +403,6 @@ def test_shao_sablin_cli(capsys, files):
     # reciprocals that overflow to inf
     '{"family": "constant", "params": {"c": 1e-320}}',
     '{"family": "explicit", "params": {"prefix": [1e-310, 1.0], "tail": {"a": 1.0, "b": 0.0}}}',
-    # weights that overflow to inf, so every reciprocal is 0
-    '{"family": "linear", "params": {"a": 1e308, "b": 1e308}}',
-    '{"family": "linear", "params": {"a": 1e305, "b": 0}, "shift": 2000}',
 ])
 def test_shao_sablin_refuses_sum_that_is_not_finite_and_positive(capsys, tmp_path, weights):
     path = tmp_path / "lambda.json"
@@ -403,6 +411,29 @@ def test_shao_sablin_refuses_sum_that_is_not_finite_and_positive(capsys, tmp_pat
     assert code == 2
     assert out == ""
     assert "lambda: the sum of 1/term(i) for i = 1..200 is" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["variation", "--fn", "hat"],
+    ["wiener", "--fn", "hat", "--deltas", "0.5,0.25"],
+    ["converge", "--fn", "hat", "--schedule", "4,16"],
+    ["shao-sablin", "--points", "100"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("weights, index", [
+    # every term overflows to inf, so every reciprocal would be 0
+    ('{"family": "linear", "params": {"a": 1e308, "b": 1e308}}', 1),
+    ('{"family": "linear", "params": {"a": 1e305, "b": 0}, "shift": 2000}', 2001),
+    # term 1 is finite, term 2 overflows
+    ('{"family": "linear", "params": {"a": 1e308, "b": 0}}', 2),
+    ('{"family": "explicit", "params": {"prefix": [1.0], "tail": {"a": 1e308, "b": 0}}}', 2),
+], ids=["linear-every-term", "linear-shifted", "linear-second-term", "explicit-tail"])
+def test_weight_terms_that_overflow_are_refused(capsys, files, tmp_path, argv, weights, index):
+    path = tmp_path / "lambda.json"
+    path.write_text(weights)
+    argv = [files.get(a, a) for a in argv] + ["--lambda", str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: lambda: base term {index} (index plus shift) overflows to inf\n"
 
 
 def test_oracle_check_cli(capsys, files):

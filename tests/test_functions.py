@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 import re
+import tracemalloc
 import typing
 from fractions import Fraction
 
@@ -341,9 +342,17 @@ def _hexes(rows):
     return [[x.hex() for x in row] for row in rows]
 
 
+def _halves(rows, ts):
+    # the split kernel's stream gathered into (lefts, rights), in input order
+    lefts, rights = [None] * len(rows), [None] * len(rows)
+    for i, left, right in functions._dc_split_many(rows, ts):
+        lefts[i], rights[i] = left, right
+    return lefts, rights
+
+
 def _split_one(coeffs, t):
     # both halves of one row: the one-row call of the split kernel
-    lefts, rights = functions._dc_split_many([coeffs], [t])
+    lefts, rights = _halves([coeffs], [t])
     return lefts[0], rights[0]
 
 
@@ -358,7 +367,7 @@ def test_split_kernel_bits_match_scalar_reference():
         rows = [[rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0))) for _ in range(n + 1)]
                 for _ in ts]
         rows[0][:2] = [-0.0, 0.5]
-        lefts, rights = functions._dc_split_many(rows, ts)
+        lefts, rights = _halves(rows, ts)
         expected = [_split_reference(row, t) for row, t in zip(rows, ts)]
         assert _hexes(lefts) == _hexes([left for left, _ in expected])
         assert _hexes(rights) == _hexes([right for _, right in expected])
@@ -366,11 +375,46 @@ def test_split_kernel_bits_match_scalar_reference():
         assert _hexes(_split_one(rows[2], ts[2])) == _hexes(expected[2])
         everything += zip(rows, ts)
     rng.shuffle(everything)
-    lefts, rights = functions._dc_split_many(*zip(*everything))
+    lefts, rights = _halves(*zip(*everything))
     expected = [_split_reference(row, t) for row, t in everything]
     assert _hexes(lefts) == _hexes([left for left, _ in expected])
     assert _hexes(rights) == _hexes([right for _, right in expected])
-    assert functions._dc_split_many([], []) == ([], [])
+    assert _halves([], []) == ([], [])
+
+
+def test_split_stream_yields_each_row_once_short_rows_first(monkeypatch):
+    # every index once; rows of at most 49 coefficients first, in input
+    # order; the longer rows after them, longest first, over several chunks
+    monkeypatch.setattr(functions, "_SPLIT_COEFFS", 200)
+    rng = random.Random(31)
+    lengths = [rng.choice((1, 2, 13, 49, 50, 64, 97, 300)) for _ in range(40)]
+    rows = [[rng.uniform(-1.0, 1.0) for _ in range(m)] for m in lengths]
+    order = [i for i, _, _ in functions._dc_split_many(rows, [0.5] * len(rows))]
+    assert sorted(order) == list(range(len(rows)))
+    short = [i for i, m in enumerate(lengths) if m <= functions._NUMPY_CUTOVER + 1]
+    assert order[: len(short)] == short
+    longer = [lengths[i] for i in order[len(short) :]]
+    assert longer == sorted(longer, reverse=True) and longer[-1] > 49
+    assert list(functions._dc_split_many([], [])) == []
+
+
+def test_evaluation_holds_one_split_chunk_at_a_time(monkeypatch):
+    # 2,000 values of a degree-99 polynomial in one call: its halves leave
+    # the kernel a chunk of 10 rows at a time, so the peak stays far below
+    # the 3.2 MB that holding every row's halves at once would take
+    monkeypatch.setattr(functions, "_SPLIT_COEFFS", 1024)
+    rng = random.Random(32)
+    p = BernsteinPoly([rng.uniform(-1.0, 1.0) for _ in range(100)])
+    xs = [(i + 0.5) / 2000 for i in range(2000)]
+    functions.eval_many([p], [xs[:2]])  # numpy imported before the trace
+    tracemalloc.start()
+    try:
+        values = functions.eval_many([p], [xs])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values[1000] == p.eval(xs[1000])
+    assert peak < 1 << 20
 
 
 def test_restrict_keeps_function():
@@ -780,16 +824,16 @@ def test_mixed_lengths_match_the_one_row_split(monkeypatch):
         return [[float(x).hex() for x in row] for row in rows]
 
     def one_by_one(rows, ts):
-        halves = [functions._dc_split_many([row], [t]) for row, t in zip(rows, ts)]
+        halves = [_halves([row], [t]) for row, t in zip(rows, ts)]
         return [bits(left) + bits(right) for left, right in halves]
 
     for split in (functions._SPLIT_COEFFS, 1):  # 1: one row a chunk
         monkeypatch.setattr(functions, "_SPLIT_COEFFS", split)
         for rows in (mixed, equal):
             ts = [(0.5, t)[i % 2] for i in range(len(rows))]
-            lefts, rights = functions._dc_split_many(rows, ts)
+            lefts, rights = _halves(rows, ts)
             assert [bits([a]) + bits([b]) for a, b in zip(lefts, rights)] == one_by_one(rows, ts)
-            again = functions._dc_split_many(lefts + rights, ts + ts)
+            again = _halves(lefts + rights, ts + ts)
             assert [bits([a]) + bits([b]) for a, b in zip(*again)] == one_by_one(lefts + rights, ts + ts)
 
 

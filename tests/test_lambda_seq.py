@@ -134,6 +134,17 @@ def test_reciprocal_sum_is_left_to_right_loop_over_term(shift):
                 assert seq.reciprocal_sum(n) == total, (seq, n)
 
 
+def test_linear_terms_that_overflow_are_refused():
+    # the linear family and the explicit family's tail: a term of inf would
+    # make its weight 1/term 0, so term and reciprocal_sum both refuse it
+    for seq in (LambdaSequence.linear(1e308, 0.0), LambdaSequence.explicit([1.0], 1e308, 0.0)):
+        assert seq.term(1) == (1.0 if seq.family == "explicit" else 1e308)
+        with pytest.raises(InvalidInputError, match=r"^lambda: base term 2 \(index plus shift\)"):
+            seq.term(2)
+        with pytest.raises(InvalidInputError, match="base term 3 "):
+            seq.tail(2).reciprocal_sum(1)
+
+
 def test_budget_guard():
     seq = LambdaSequence.linear(1.0, 0.0)
     with pytest.raises(ResourceError):
