@@ -16,12 +16,10 @@ import random
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DomainError, ResourceError, _check_positive_int
-from .functions import (
+from .functions import (  # critical_points: perfbench's tracer test rebinds it here too
     PiecewiseLinear,
     StepFunction,
-    _raised,
     critical_points,
-    critical_points_many,
     named_function,
     subtract_many,
 )
@@ -29,11 +27,8 @@ from .lambda_seq import LambdaSequence
 from .operators import DEGREE_CAP, _check_degree, _check_work, bernstein_of, kantorovich_of
 from .serialize import dumps, format_float
 from .variation import (
-    SOLVER_POINT_CAP,
-    _candidate_values,
     _norms_many,
-    _subset_search,
-    _weights,
+    _variations_many,
     lambda_norm,
     lambda_variation,
     lambda_variation_on_set,
@@ -220,9 +215,9 @@ def run_diminish_campaign(
     every (operator, degree, family) compare against the variation of the
     image polynomial on its own critical set.  margin = V(f) - V(op_n f);
     a margin below -DIMINISH_TOLERANCE is a violation.  A case's images are
-    isolated in one critical_points_many call.  Each function is evaluated
-    once at its critical set and its values are searched once per family,
-    with weights built once per campaign.  Functions have 2 to
+    solved with f in one _variations_many batch: one critical_points_many
+    call, one evaluation pass, and one search per function that scores
+    every family.  Functions have 2 to
     DIMINISH_MAX_BREAKPOINTS breakpoints.  Solver resource errors skip the
     whole case, margins and violations included, and are counted, not fatal.
     A degree above the degree cap, or work above DIMINISH_WORK_BUDGET
@@ -232,8 +227,8 @@ def run_diminish_campaign(
     cases = _check_positive_int(cases, "cases")
     n_max = _check_positive_int(n_max, "n_max")
     ops = _operator_list(operators)
-    weights = [(name, _weights(family_sequence(name), SOLVER_POINT_CAP - 1)) for name in lambda_families]
-    if not weights:
+    seqs = [family_sequence(name) for name in lambda_families]
+    if not seqs:
         raise DomainError("lambda_families must not be empty")
     _check_degree(n_max)
     work = cases * len(ops) * sum(n * n + DIMINISH_IMAGE_WORK for n in range(1, n_max + 1))
@@ -261,14 +256,13 @@ def run_diminish_campaign(
         inputs = {"seed": cseed, "points": [[x, y] for x, y in f.breakpoints]}
         images = [op(f, n) for n, _, op in steps]
         try:
-            vals = _candidate_values(f, critical_points(f).points)
-            base = {name: _subset_search(vals, w)[0] for name, w in weights}
-            margins = []  # (margin, op, n, family) in loop order
-            for (n, op_name, _), p, crit in zip(steps, images, critical_points_many(images)):
-                vals = _candidate_values(p, _raised(crit).points)
-                for name, w in weights:
-                    margin = base[name] - _subset_search(vals, w)[0]
-                    margins.append((margin, op_name, n, name))
+            solves = _variations_many([f] + images, seqs)
+            _, _, base = next(solves)
+            margins = [  # (margin, op, n, family) in loop order
+                (b - v, op_name, n, name)
+                for (n, op_name, _), (_, _, variations) in zip(steps, solves)
+                for name, b, v in zip(lambda_families, base, variations)
+            ]
         except ResourceError as exc:
             records.append(_skipped(index, inputs, exc))
             continue
@@ -441,13 +435,13 @@ def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
     """Exact subset solver vs the brute-force grid oracle on small corpora.
 
     Cases cycle through every weight family; functions keep at most 9
-    breakpoints so the oracle cap is never hit.  A difference beyond 1e-9 is a
-    violation (margin = 1e-9 - |difference|).
+    breakpoints so the oracle cap is never hit.  Each case is a one-function
+    _variations_many batch, whose critical points the oracle then grids.  A
+    difference beyond 1e-9 is a violation (margin = 1e-9 - |difference|).
     """
     cases = _check_positive_int(cases, "cases")
     families = sorted(_FAMILY_BUILDERS)
     seqs = [(name, family_sequence(name)) for name in families]
-    weights = [_weights(seq, SOLVER_POINT_CAP - 1) for _, seq in seqs]
     config = {"seed": seed, "cases": cases, "families": families}
     records: List[dict] = []
     violations: List[dict] = []
@@ -455,8 +449,7 @@ def run_oracle_crosscheck(seed: int = 7, cases: int = 200) -> ExperimentReport:
     for index in range(cases):
         cseed, f = _draw_case(seed, index, 9)
         name, seq = seqs[index % len(seqs)]
-        pts = critical_points(f).points
-        exact = _subset_search(_candidate_values(f, pts), weights[index % len(seqs)])[0]
+        [(pts, _, (exact,))] = _variations_many([f], [seq])
         oracle = grid_oracle(f, seq, pts)
         diff = abs(exact - oracle)
         margin = 1e-9 - diff

@@ -150,23 +150,28 @@ class LambdaSequence:
         return self._base_term(n + self._shift)
 
     def _base_term(self, k: int) -> float:
-        """The k-th weight of the unshifted sequence; a linear term (the
-        linear family's, or the explicit family's tail) that overflows is
-        refused, since its reciprocal would be 0."""
+        """The k-th weight of the unshifted sequence.  A term that overflows
+        is refused, since its reciprocal would be 0, and so is an index too
+        large for a float, which every family but constant converts."""
         fam = self._family
         p = self._params
         if fam == "constant":
             return p["c"]
-        if fam == "linear":
-            term = p["a"] * k + p["b"]
-        elif fam == "power":
-            return float(k) ** p["p"]
-        elif fam == "nlog":
-            return k * math.log(k + 1)
-        elif k <= len(p["prefix"]):
-            return p["prefix"][k - 1]
-        else:
-            term = p["tail"]["a"] * k + p["tail"]["b"]
+        try:
+            if fam == "linear":
+                term = p["a"] * k + p["b"]
+            elif fam == "power":
+                return float(k) ** p["p"]
+            elif fam == "nlog":
+                term = k * math.log(k + 1)
+            elif k <= len(p["prefix"]):
+                return p["prefix"][k - 1]
+            else:
+                term = p["tail"]["a"] * k + p["tail"]["b"]
+        except OverflowError:
+            raise InvalidInputError(
+                "base term index (index plus shift) is too large for a float", field="lambda"
+            ) from None
         if term == math.inf:
             raise InvalidInputError(f"base term {k} (index plus shift) overflows to inf", field="lambda")
         return term

@@ -25,8 +25,11 @@ class Monotonicity(enum.Enum):
 DEGREE_CAP = 1 << 16
 #: The de Casteljau work, about n*n/2 steps per evaluation of a degree-n
 #: image, that a `counterexample` run (over its degrees) or an `operator
-#: --emit samples:K` run (K evaluations) may take.  `counterexample --nmax
-#: 1982`, the largest run it admits, takes 6-10 s on two cores.
+#: --emit samples:K` run (K evaluations) may take, and (n+1)*d*d for a
+#: degree-n Kantorovich image of a degree-d Bernstein input.
+#: `counterexample --nmax 1982`, the largest run it admits, takes 6-10 s on
+#: two cores; the slowest Kantorovich image it admits, d = 140 at degree
+#: 65536, takes 22.8 s (per-cell array overhead, not d*d, dominates).
 WORK_BUDGET = 1_300_000_000
 #: Largest K of `operator --emit samples:K`.  With WORK_BUDGET it bounds a
 #: samples run: the slowest it admits, 1,000 samples at degree 1612, takes
@@ -59,8 +62,12 @@ def kantorovich_of(f, n: int) -> BernsteinPoly:
 
     Coefficient k is the mean of f over [k/(n+1), (k+1)/(n+1)], computed as an
     exact integral; f must be a PiecewiseLinear, StepFunction or BernsteinPoly.
+    A BernsteinPoly of degree d is restricted to each of the n+1 cells by
+    two de Casteljau splits, so work (n+1)*d*d above WORK_BUDGET is refused.
     """
     _check_degree(n)
+    if isinstance(f, BernsteinPoly):
+        _check_work((n + 1) * f.degree * f.degree, "(n+1)*d*d for n+1 cells of a degree-d input")
     if not hasattr(f, "integrate"):
         raise InvalidInputError(
             f"{type(f).__name__} does not support exact integration", field="fn"

@@ -104,6 +104,8 @@ def function_from_json(obj):
 
 
 def parse_json_text(text: str, field: str):
+    """The JSON document in text; text the parser cannot read is refused,
+    naming field."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -111,6 +113,14 @@ def parse_json_text(text: str, field: str):
             f"malformed JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})",
             field=field,
         ) from exc
+    except ValueError:  # from an integer literal past int's digit limit
+        raise InvalidInputError(
+            "malformed JSON: an integer literal has too many digits", field=field
+        ) from None
+    except RecursionError:
+        raise InvalidInputError(
+            "malformed JSON: arrays or objects nested too deeply", field=field
+        ) from None
 
 
 def load_function_file(path: str):
@@ -127,3 +137,7 @@ def _read(path: str, field: str) -> str:
             return fh.read()
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc.strerror}", field=field) from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})", field=field
+        ) from None

@@ -6,9 +6,11 @@ by the weight-sequence terms, where the largest increment is matched with the
 smallest weight (rearrangement order).  For the function classes in
 :mod:`lamvar.functions` the supremum is attained on systems whose endpoints are
 points of varying monotonicity, so an exact solver can search subsets of the
-critical set.  A deliberately naive grid oracle is kept alongside for
-cross-checking, plus a short-interval (restricted) variant, tail variation
-and norms.
+critical set.  Solves that need values only (the campaigns' and the norms')
+share one private batch, which isolates, evaluates and searches many
+functions under many weight sequences at once.  A deliberately naive grid
+oracle is kept alongside for cross-checking, plus a short-interval
+(restricted) variant, tail variation and norms.
 """
 
 from __future__ import annotations
@@ -176,29 +178,32 @@ def _score(diffs_asc: Sequence[float], w: Sequence[float], start: float = 0.0, p
 # -- exact subset solver --------------------------------------------------
 
 
-def _subset_search(values: Sequence[float], w: Sequence[float]) -> Tuple[float, Tuple[int, ...]]:
+def _subset_search(
+    values: Sequence[float], ws: Sequence[Sequence[float]]
+) -> List[Tuple[float, Tuple[int, ...]]]:
     """Maximize the rearrangement-weighted sum of consecutive increments over
     subsets of the candidate points (the subset's consecutive pairs all become
-    intervals).
+    intervals), under every weight vector of ws in one enumeration; one
+    (value, subset) per vector.
 
     Pruning: (a) extensions that make the last three chosen values monotone are
     skipped, because replacing the two increments by their merged span never
     decreases the optimum and the merged subset is enumerated separately;
-    (b) subtrees whose padded upper bound (current increments topped up with
-    the global maximum increment) cannot beat the incumbent are cut.  The
-    witness returned is the first maximizer in lexicographic enumeration
-    order, which pruning preserves.  An overflowing value is refused.
+    (b) a vector leaves a subtree whose padded upper bound (current increments
+    topped up with the global maximum increment) cannot beat its incumbent,
+    and the subtree is entered while some vector is left in it.  So each
+    vector scores the nodes, in the order, that a search under it alone
+    would, and its witness is the first maximizer in lexicographic
+    enumeration order, which pruning preserves.  An overflowing value is
+    refused.
     """
     n = len(values)
-    best_val = 0.0
-    best_sub: Tuple[int, ...] = (0, 1)
+    best_val = [0.0] * len(ws)
+    best_sub: List[Tuple[int, ...]] = [(0, 1)] * len(ws)
     dmax = max(values) - min(values)
-    cumw = [0.0]
-    for wi in w:
-        cumw.append(cumw[-1] + wi)
+    cumws = [list(itertools.accumulate(w[: n - 1], initial=0.0)) for w in ws]
 
-    def extend(sub: Tuple[int, ...], diffs_asc: List[float]) -> None:
-        nonlocal best_val, best_sub
+    def extend(sub: Tuple[int, ...], diffs_asc: List[float], live: List[int]) -> None:
         last = sub[-1]
         v_last = values[last]
         alternation = len(sub) >= 2
@@ -209,20 +214,25 @@ def _subset_search(values: Sequence[float], w: Sequence[float]) -> Tuple[float, 
                 continue
             nd = list(diffs_asc)
             bisect.insort(nd, abs(v_next - v_last))
-            val = _score(nd, w)
-            if val > best_val:
-                best_val = val
-                best_sub = sub + (nxt,)
             rem = n - 1 - nxt
-            if rem and _score(nd, w, dmax * cumw[rem], rem) > best_val:
-                extend(sub + (nxt,), nd)
+            deeper = []
+            for j in live:
+                val = _score(nd, ws[j])
+                if val > best_val[j]:
+                    best_val[j] = val
+                    best_sub[j] = sub + (nxt,)
+                if rem and _score(nd, ws[j], dmax * cumws[j][rem], rem) > best_val[j]:
+                    deeper.append(j)
+            if deeper:
+                extend(sub + (nxt,), nd, deeper)
 
     for start in range(n - 1):
-        if dmax * cumw[n - 1 - start] > best_val:
-            extend((start,), [])
-    if not math.isfinite(best_val):
+        live = [j for j, cumw in enumerate(cumws) if dmax * cumw[n - 1 - start] > best_val[j]]
+        if live:
+            extend((start,), [], live)
+    if not all(map(math.isfinite, best_val)):
         raise InvalidInputError("the variation overflows", field="fn")
-    return best_val, best_sub
+    return list(zip(best_val, best_sub))
 
 
 def _candidate_error(pts: Sequence[float]):
@@ -237,15 +247,6 @@ def _candidate_error(pts: Sequence[float]):
             f"{SOLVER_POINT_CAP}; use grid_oracle for a lower bound"
         )
     return None
-
-
-def _candidate_values(f, pts: Sequence[float]) -> List[float]:
-    """f at the merged candidate points pts of an exact solve, once their
-    count is checked, in one eval_many call."""
-    error = _candidate_error(pts)
-    if error:
-        raise error
-    return eval_many([f], [pts])[0]
 
 
 def lambda_variation(f, seq: LambdaSequence) -> VariationResult:
@@ -264,8 +265,9 @@ def lambda_variation_on_set(f, seq: LambdaSequence, points: Iterable[float]) -> 
     given point set (merged at MERGE_TOL; a merged set merges to itself)."""
     xs = [float(x) for x in points]
     pts = CriticalSet(zip(xs, xs)).points
-    vals = _candidate_values(f, pts)
-    best_val, sub = _subset_search(vals, _weights(seq, len(pts) - 1))
+    _raised(_candidate_error(pts))
+    vals = eval_many([f], [pts])[0]
+    [(best_val, sub)] = _subset_search(vals, [_weights(seq, len(pts) - 1)])
     return _result(best_val, list(zip(sub, sub[1:])), pts, vals, "exact")
 
 
@@ -538,20 +540,36 @@ def lambda_norm(f, seq: LambdaSequence) -> float:
     return _norms_many([f], seq)[0]
 
 
-def _norms_many(fs: Sequence[object], seq: LambdaSequence) -> List[float]:
-    """lambda_norm of every function model of fs, with one batch of critical
-    sets and one evaluation pass (eval_many) over them.  Raises what the
-    first failing lambda_norm of fs in order would: its critical-set error,
-    its candidate count, or its norm overflow."""
+def _variations_many(fs: Sequence[object], seqs: Sequence[LambdaSequence]):
+    """Per function model of fs, in order: its critical points, its values
+    there, and its exact variation under every weight sequence of seqs (one
+    _subset_search).  One batch of critical sets, one evaluation pass
+    (eval_many) at the sets that passed their checks, and weight vectors
+    read again only when a longer set comes.  A generator: function i's
+    critical-set error, or else its candidate-count error, is raised when
+    function i is reached, after every earlier function's variations, as
+    solving them one by one would."""
     crits = [
         crit if isinstance(crit, Exception) else _candidate_error(crit.points) or crit
         for crit in critical_points_many(fs)
     ]
-    ready = [(f, crit.points) for f, crit in zip(fs, crits) if not isinstance(crit, Exception)]
-    values = eval_many([f for f, _ in ready], [pts for _, pts in ready])
+    points = [() if isinstance(crit, Exception) else crit.points for crit in crits]
+    read = 0  # the length of each weight vector in ws
+    for crit, vals in zip(crits, eval_many(fs, points)):
+        pts = _raised(crit).points
+        if len(pts) - 1 > read:  # a weight that overflows is refused at the first set that reads it
+            read = len(pts) - 1
+            ws = [_weights(seq, read) for seq in seqs]
+        yield pts, vals, [value for value, _ in _subset_search(vals, ws)]
+
+
+def _norms_many(fs: Sequence[object], seq: LambdaSequence) -> List[float]:
+    """lambda_norm of every function model of fs, from one _variations_many
+    batch.  Raises what the first failing lambda_norm of fs in order would:
+    its critical-set error, its candidate count, or its norm overflow."""
     norms = []
-    for _, vals in zip(map(_raised, crits), values):  # the first value is at 0.0
-        norm = _subset_search(vals, _weights(seq, len(vals) - 1))[0] + abs(vals[0])
+    for _, vals, (variation,) in _variations_many(fs, [seq]):
+        norm = variation + abs(vals[0])  # the first value is at 0.0
         if not math.isfinite(norm):
             raise InvalidInputError("the norm overflows", field="fn")
         norms.append(norm)

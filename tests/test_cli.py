@@ -37,6 +37,10 @@ def files(tmp_path):
         "nan_plf": write("nan_plf.json",
                          '{"type": "plf", "points": [[0, NaN], [0.5, 1], [1, 0]]}'),
         "bern": write("bern.json", '{"type": "bernstein", "coeffs": [0, 1]}'),
+        "bern3000": write("bern3000.json", json.dumps({
+            "type": "bernstein",
+            "coeffs": [(-1) ** k * 0.5 for k in range(3001)],
+        })),
         "inf_bern": write("inf_bern.json", '{"type": "bernstein", "coeffs": [0, Infinity, 1]}'),
         "wide_bern": write("wide_bern.json",
                            '{"type": "bernstein", "coeffs": [1e308, -1e308, 1e308]}'),
@@ -132,6 +136,54 @@ def test_overflow_exits_2(capsys, files, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+HUGE_SHIFT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("family, params", [
+    ("linear", {}),
+    ("power", {"p": 0.5}),
+    ("nlog", {}),
+    ("explicit", {"prefix": [1, 2], "tail": {"a": 1, "b": 1}}),
+])
+@pytest.mark.parametrize("command", [
+    ["variation"],
+    ["wiener", "--deltas", "0.5,0.25"],
+    ["converge", "--schedule", "4,16"],
+])
+def test_weight_index_too_large_for_a_float_exits_2(capsys, files, family, params, command):
+    # every family but constant converts the index plus shift to a float;
+    # unchecked, that ended in an OverflowError traceback
+    lam = files["dir"] / "huge_shift.json"
+    lam.write_text(f'{{"family": "{family}", "params": {json.dumps(params)}, "shift": {HUGE_SHIFT}}}')
+    code, out, err = run(capsys, command + ["--fn", files["hat"], "--lambda", str(lam)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: lambda: ")
+
+
+def test_tail_too_large_for_a_float_exits_2(capsys, files):
+    code, out, err = run(capsys, ["variation", "--fn", files["hat"], "--lambda", files["lin"],
+                                  "--tail", HUGE_SHIFT])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: lambda: ")
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe",
+    b"1" * 5001,
+    b"[" * 100_000,
+], ids=["not-utf8", "long-integer", "deep-nesting"])
+@pytest.mark.parametrize("option, field", [("--fn", "fn"), ("--lambda", "lambda")])
+def test_unreadable_json_file_exits_2(capsys, files, content, option, field):
+    # unchecked, these ended in UnicodeDecodeError, ValueError and
+    # RecursionError tracebacks
+    bad = files["dir"] / "unreadable.json"
+    bad.write_bytes(content)
+    fn, lam = (str(bad), files["lin"]) if option == "--fn" else (files["hat"], str(bad))
+    code, out, err = run(capsys, ["variation", "--fn", fn, "--lambda", lam])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field}: ")
 
 
 def test_variation_missing_file_exits_2(capsys, files):
@@ -250,9 +302,13 @@ def test_operator_degree_above_cap_exits_4(capsys, files):
     (["operator", "--op", "bernstein", "--fn", "hat", "-n", "2000", "--emit", "samples:1000"],
      "de Casteljau work 2000000000 (K*n*n/2 for K samples at degree n) exceeds the budget "
      "of 1300000000"),
+    # each of the n+1 cells restricts the degree-3000 input: 2.6 s at -n 200 unchecked
+    (["operator", "--op", "kantorovich", "--fn", "bern3000", "-n", "200"],
+     "de Casteljau work 1809000000 ((n+1)*d*d for n+1 cells of a degree-d input) exceeds "
+     "the budget of 1300000000"),
 ], ids=["resolution", "counterexample-degree", "counterexample-work", "diminish-degree",
         "diminish-work", "diminish-image-work", "diminish-image-work-high-degree",
-        "converge-work", "operator-samples", "operator-samples-work"])
+        "converge-work", "operator-samples", "operator-samples-work", "kantorovich-bernstein-work"])
 def test_resource_cap_trips_before_the_work(capsys, files, argv, message):
     started = time.perf_counter()
     code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])

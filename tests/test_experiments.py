@@ -412,17 +412,16 @@ def test_diminish_reports_skips(monkeypatch):
 def test_diminish_skipped_case_keeps_no_violations(monkeypatch):
     # violates at n = 1, then the solver hits a cap at n = 2: the whole case
     # is skipped, so none of its margins may stand as a violation
-    evaluate = lamvar.experiments._candidate_values
+    real_crits = lamvar.variation.critical_points_many
 
-    def flaky(f, points):
-        if isinstance(f, BernsteinPoly) and f.degree == 2:
-            raise ResourceError("stand-in cap")
-        return evaluate(f, points)
+    def flaky(fs):
+        return [ResourceError("stand-in cap") if isinstance(f, BernsteinPoly) and f.degree == 2 else c
+                for f, c in zip(fs, real_crits(fs))]
 
     # degree n, and far more variation than any input
     monkeypatch.setattr(lamvar.experiments, "bernstein_of",
                         lambda f, n: BernsteinPoly([0.0] + [100.0] * n))
-    monkeypatch.setattr(lamvar.experiments, "_candidate_values", flaky)
+    monkeypatch.setattr(lamvar.variation, "critical_points_many", flaky)
     rep = run_diminish_campaign(seed=1, cases=3, n_max=2, operators="bernstein")
     assert rep.violations == []
     assert rep.ok
@@ -431,23 +430,24 @@ def test_diminish_skipped_case_keeps_no_violations(monkeypatch):
 
 
 def test_diminish_values_match_the_witness_solver(monkeypatch):
-    # each function is evaluated once and its values searched once per family:
-    # every value must be the bits lambda_variation and lambda_variation_on_set
-    # give for that function and family
+    # each function is evaluated once and its values searched once for all
+    # families: every value must be the bits lambda_variation and
+    # lambda_variation_on_set give for that function and family
     families = sorted(lamvar.experiments._FAMILY_BUILDERS)
     seqs = [family_sequence(name) for name in families]
-    search = lamvar.experiments._subset_search
+    search = lamvar.variation._subset_search
     seen = []
 
-    def recording(values, w):
-        found = search(values, w)
-        seen.append(found[0].hex())
+    def recording(values, ws):
+        found = search(values, ws)
+        seen.extend(value.hex() for value, _ in found)
         return found
 
-    monkeypatch.setattr(lamvar.experiments, "_subset_search", recording)
+    monkeypatch.setattr(lamvar.variation, "_subset_search", recording)
     for seed in (1, 2, 3):
         seen.clear()
         rep = run_diminish_campaign(seed=seed, cases=3, lambda_families=families, n_max=5)
+        recorded = list(seen)  # lambda_variation below runs the same search
         assert rep.summary["skipped"] == 0
         expected = []
         for rec in rep.cases:
@@ -458,7 +458,7 @@ def test_diminish_values_match_the_witness_solver(monkeypatch):
                     p = op(f, n)
                     pts = critical_points(p).points
                     expected += [lambda_variation_on_set(p, seq, pts).value.hex() for seq in seqs]
-        assert seen == expected
+        assert recorded == expected
 
 
 def test_diminish_budget_trip_skips_only_its_case(monkeypatch):

@@ -145,6 +145,20 @@ def test_linear_terms_that_overflow_are_refused():
             seq.tail(2).reciprocal_sum(1)
 
 
+def test_index_too_large_for_a_float_is_refused():
+    # every family but constant converts the index plus shift to a float
+    huge = 10 ** 400
+    for seq in (LambdaSequence.linear(), LambdaSequence.power(0.5), LambdaSequence.nlog(),
+                LambdaSequence.explicit([1.0, 2.0], 1.0, 1.0)):
+        with pytest.raises(InvalidInputError, match=r"^lambda: base term index \(index plus shift\) is too large"):
+            seq.tail(huge).term(1)
+    assert LambdaSequence.constant(3.0).tail(huge).term(1) == 3.0
+    # an nlog term past the largest float is refused like a linear one, not
+    # turned into a weight of 0
+    with pytest.raises(InvalidInputError, match="overflows to inf"):
+        LambdaSequence.nlog().tail(10 ** 306).term(1)
+
+
 def test_budget_guard():
     seq = LambdaSequence.linear(1.0, 0.0)
     with pytest.raises(ResourceError):

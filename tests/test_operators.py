@@ -3,6 +3,7 @@ import random
 import pytest
 from scipy.integrate import quad
 
+import lamvar.operators
 from lamvar import (
     BernsteinPoly,
     DomainError,
@@ -10,6 +11,7 @@ from lamvar import (
     Monotonicity,
     PiecewiseLinear,
     PiecewisePolynomial,
+    ResourceError,
     StepFunction,
     bernstein_of,
     kantorovich_of,
@@ -83,6 +85,16 @@ def test_kantorovich_means_against_quadrature():
             kinks = [x for x in f.xs if lo < x < hi]
             ref, _ = quad(f.eval, lo, hi, points=kinks or None, limit=200)
             assert c == pytest.approx(m * ref, abs=1e-9)
+
+
+def test_kantorovich_of_a_bernstein_input_checks_its_work(monkeypatch):
+    # (n+1)*d*d: two de Casteljau splits of the degree-d input per cell
+    p = BernsteinPoly([0.0, 1.0, -0.5])
+    monkeypatch.setattr(lamvar.operators, "WORK_BUDGET", 4 * 2 * 2)
+    assert kantorovich_of(p, 3).degree == 3
+    with pytest.raises(ResourceError, match=r"de Casteljau work 20 \(\(n\+1\)\*d\*d "):
+        kantorovich_of(p, 4)
+    assert kantorovich_of(named_function("hat"), 40).degree == 40
 
 
 def test_kantorovich_factors_through_aux():

@@ -206,15 +206,49 @@ def test_variation_monotone_is_single_span():
         assert lambda_variation(f, SEQ_N).value == pytest.approx(expect, abs=1e-12)
 
 
+FAMILIES = [family_sequence(name) for name in ("constant", "linear", "power", "nlog", "explicit")]
+
+
 def test_subset_search_matches_brute_force():
+    # one enumeration scores every family; each result is the brute-force
+    # optimum and the result of that family's search alone
     rng = random.Random(24)
-    seqs = [SEQ_1, SEQ_N, LambdaSequence.power(0.5), LambdaSequence.nlog()]
     for _ in range(40):
         n = rng.randint(2, 9)
         values = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        seq = seqs[rng.randrange(len(seqs))]
-        got, _sub = _subset_search(values, _weights(seq, n - 1))
-        assert got == pytest.approx(brute_over_subsets(values, seq), abs=1e-12)
+        ws = [_weights(seq, n - 1) for seq in FAMILIES]
+        found = _subset_search(values, ws)
+        assert len(found) == len(FAMILIES)
+        for seq, w, (got, sub) in zip(FAMILIES, ws, found):
+            assert got == pytest.approx(brute_over_subsets(values, seq), abs=1e-12)
+            assert _subset_search(values, [w]) == [(got, sub)]
+
+
+def _value_sets(count):
+    """Seeded value sets of 2 to 16 points, drawn four ways in turn: uniform,
+    small-integer ties, a few values at or near a tie, and magnitudes from
+    1e-5 to 1e5."""
+    rng = random.Random(33)
+    near = [0.0, 0.5, 1.0, 1e-16, -1e-16]
+    for i in range(count):
+        n = rng.randint(2, 16)
+        draw = [
+            lambda: rng.uniform(-1.0, 1.0),
+            lambda: float(rng.randint(-3, 3)),
+            lambda: rng.choice(near),
+            lambda: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, 5.0),
+        ][i % 4]
+        yield [draw() for _ in range(n)]
+
+
+def test_one_enumeration_matches_one_family_searches():
+    # the shared enumeration returns, bit for bit and witness for witness,
+    # what one search per family returns
+    for values in _value_sets(4000):
+        ws = [_weights(seq, len(values) - 1) for seq in FAMILIES]
+        shared = [(v.hex(), sub) for v, sub in _subset_search(values, ws)]
+        alone = [(v.hex(), sub) for w in ws for v, sub in _subset_search(values, [w])]
+        assert shared == alone
 
 
 def test_exact_solves_within_stated_bound_of_rational_reference():
@@ -553,7 +587,7 @@ def test_domain_narrower_than_merge_tol_is_one_candidate():
 def test_subset_search_refuses_overflow():
     # each increment is finite, but the largest weighted sum is not
     with pytest.raises(InvalidInputError, match="fn: the variation overflows") as exc:
-        _subset_search([0.0, 8e307, -8e307], _weights(SEQ_1, 2))
+        _subset_search([0.0, 8e307, -8e307], [_weights(SEQ_1, 2)])
     assert exc.value.field == "fn"
     # a norm meets the variation's overflow before its own
     f = PiecewiseLinear([(0.0, 0.0), (0.5, 8e307), (1.0, -8e307)])
